@@ -47,7 +47,7 @@ fn run_and_attribute(
     let scheme = build_scheme_with(spec, topo, None).expect("caller checked feasibility");
     let map = AddrMap::for_topology(topo);
     let faults = FaultSet::none();
-    let cfg = SimConfig::seeded(seed).to_builder().scheme(spec).build();
+    let cfg = SimConfig::seeded(seed);
     let mut sim = Simulation::new(
         topo,
         &faults,

@@ -293,7 +293,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        return match ddpm_bench::scenario_config::resume_scenario_with(&dir, cli.checkpoint_every)
+        return match ddpm_serve::scenario::resume_scenario_with(&dir, cli.checkpoint_every)
         {
             Ok(out) => {
                 print!("{}", out.text);

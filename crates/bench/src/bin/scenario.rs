@@ -8,10 +8,10 @@
 //! cargo run --release -p ddpm-bench --bin scenario -- --resume target/ckpt
 //! ```
 //!
-//! Reads a JSON [`ddpm_bench::scenario_config::ScenarioConfig`], runs
-//! the simulation, prints the summary (and the DDPM attack-source
-//! census when DDPM marking is selected), optionally writing the
-//! machine-readable result.
+//! Reads a JSON [`ddpm_serve::scenario::ScenarioConfig`], runs the
+//! simulation, prints the summary (and, for an attack scenario, the
+//! attack sources the `"scheme"` plugin's victim-side collector names),
+//! optionally writing the machine-readable result.
 //!
 //! `--checkpoint-every`/`--checkpoint-dir` enable (or override the
 //! scenario file's `"checkpoint"` block's) crash-consistent
@@ -19,7 +19,7 @@
 //! in DIR and runs the scenario to completion, bit-identical to the
 //! uninterrupted run.
 
-use ddpm_bench::scenario_config::{
+use ddpm_serve::scenario::{
     resume_scenario, run_scenario_with_source, ScenarioConfig, ScenarioOutcome,
 };
 use ddpm_sim::CheckpointConfig;

@@ -143,7 +143,7 @@ pub fn run_cell(
     let map = AddrMap::for_topology(topo);
     let faults = FaultSet::none();
     let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed).to_builder().scheme(spec).build();
+    let cfg = SimConfig::seeded(seed);
     let mut sim = Simulation::new(
         topo,
         &faults,
@@ -226,7 +226,7 @@ pub fn calibrate(
     let map = AddrMap::for_topology(topo);
     let faults = FaultSet::none();
     let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed).to_builder().scheme(spec).build();
+    let cfg = SimConfig::seeded(seed);
     let mut sim = Simulation::new(
         topo,
         &faults,

@@ -95,7 +95,7 @@ pub fn run_scheme(
     let map = AddrMap::for_topology(topo);
     let faults = FaultSet::none();
     let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed).to_builder().scheme(spec).build();
+    let cfg = SimConfig::seeded(seed);
     let mut sim = Simulation::new(
         topo,
         &faults,

@@ -10,7 +10,7 @@
 //! Every fuzz case is a pure function of its seed (a [`SoakCase`]), so
 //! a violation is never a heisenbug: the harness snapshots the case,
 //! the violation, the trailing lifecycle events and the fault schedule
-//! into an on-disk **repro bundle** (`ddpm-repro-bundle/1`), and
+//! into an on-disk **repro bundle** (`ddpm-repro-bundle/2`), and
 //! `report -- replay <bundle>` re-runs it and confirms the identical
 //! violation — same cycle, same packet, same invariant.
 //!
@@ -19,12 +19,12 @@
 //! cargo run --release -p ddpm-bench --bin report -- replay target/soak-bundles/bundle-*.json
 //! ```
 
-use crate::scenario_config::{RouterSpec, TopologySpec};
 use crate::util::{fnum, Report, RunCtx};
 use ddpm_attack::{AdversaryModel, PacketFactory};
 use ddpm_core::build_scheme;
 use ddpm_net::{AddrMap, L4};
 use ddpm_routing::{Router, SelectionPolicy};
+use ddpm_serve::scenario::{RouterSpec, TopologySpec};
 use ddpm_sim::{
     AdversaryBehavior, AdversarySpec, Engine, InvariantConfig, Marker, RetryPolicy, SchemeSpec,
     SimConfig, SimStats, SimTime, Simulation, Violation, WatchdogConfig,
@@ -39,11 +39,6 @@ use std::time::{Duration, Instant};
 
 /// Bundle schema tag; bump on any incompatible layout change.
 pub const BUNDLE_SCHEMA: &str = "ddpm-repro-bundle/2";
-
-/// Previous schema, still replayable: its cases carry a single
-/// skip-marking `compromised` switch and an implicit `ddpm` scheme,
-/// which [`SoakCase::from_json`] upgrades in place.
-pub const BUNDLE_SCHEMA_V1: &str = "ddpm-repro-bundle/1";
 
 /// One fully-determined fuzz case: everything a run needs, so the same
 /// case always produces the same events, the same drops and (if any)
@@ -258,35 +253,12 @@ impl FromJson for SoakCase {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| JsonError::msg(format!("churn `{key}` must be a number")))
         };
-        // Scheme defaults to ddpm for v1 bundles, which predate the axis.
-        let scheme = match v.get("scheme") {
-            None | Some(Value::Null) => SchemeSpec::Ddpm,
-            Some(s) => SchemeSpec::parse(
-                s.as_str()
-                    .ok_or_else(|| JsonError::msg("`scheme` must be a string"))?,
-            )
-            .map_err(JsonError::msg)?,
-        };
-        // v1 bundles spell a one-switch skip-marking adversary as a bare
-        // `compromised` node id; upgrade it in place.
-        let adversary = match adversary_from(v.get("adversary"))? {
-            Some(a) => Some(a),
-            None => match v.get("compromised") {
-                None | Some(Value::Null) => None,
-                Some(x) => {
-                    let c = x
-                        .as_u64()
-                        .and_then(|n| u32::try_from(n).ok())
-                        .ok_or_else(|| JsonError::msg("`compromised` must be a node id"))?;
-                    Some(AdversarySpec::new(
-                        vec![NodeId(c)],
-                        AdversaryBehavior::Skip,
-                        None,
-                        0,
-                    ))
-                }
-            },
-        };
+        let scheme = SchemeSpec::parse(
+            get("scheme")?
+                .as_str()
+                .ok_or_else(|| JsonError::msg("`scheme` must be a string"))?,
+        )
+        .map_err(JsonError::msg)?;
         let selftest_at = match v.get("selftest_at") {
             None | Some(Value::Null) => None,
             Some(x) => Some(
@@ -306,7 +278,7 @@ impl FromJson for SoakCase {
             switch_rate: rate("switch_rate")?,
             down_time: sub(churn, "down_time")?,
             scheme,
-            adversary,
+            adversary: adversary_from(v.get("adversary"))?,
             retries: u32::try_from(num("retries")?)
                 .map_err(|_| JsonError::msg("`retries` does not fit in u32"))?,
             check_period: sub(wd, "check_period")?,
@@ -467,7 +439,7 @@ pub fn replay(path: &Path) -> Result<Report, String> {
     let bundle: Value =
         serde_json::from_str(&raw).map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
     match bundle.get("schema").and_then(Value::as_str) {
-        Some(BUNDLE_SCHEMA | BUNDLE_SCHEMA_V1) => {}
+        Some(BUNDLE_SCHEMA) => {}
         Some(other) => return Err(format!("unsupported bundle schema `{other}`")),
         None => return Err(format!("{}: missing `schema` tag", path.display())),
     }
@@ -777,10 +749,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_compromised_field_upgrades_to_a_skip_adversary() {
-        // Schema-1 bundles spell the adversary as a bare node id and
-        // carry no scheme; both upgrade to the new axes.
-        let v = json!({
+    fn schema_1_bundle_is_rejected() {
+        // Schema-1 cases carried no scheme and a bare `compromised`
+        // switch; they are no longer upgraded, so replay refuses the
+        // bundle by its schema tag and a scheme-less case fails to parse.
+        let case = json!({
             "topology": {"kind": "mesh", "dims": [4u64, 4u64]},
             "router": "minimal_adaptive",
             "policy": "random",
@@ -797,12 +770,20 @@ mod tests {
                 "check_period": 64u64, "max_age": 1024u64, "stall_cycles": 2048u64,
             },
         });
-        let case = SoakCase::from_json(&v).expect("legacy case parses");
-        assert_eq!(case.scheme, SchemeSpec::Ddpm);
-        let adv = case.adversary.expect("upgraded");
-        assert_eq!(adv.switches, vec![NodeId(5)]);
-        assert_eq!(adv.behavior, AdversaryBehavior::Skip);
-        assert_eq!(adv.framed, None);
+        let err = SoakCase::from_json(&case).unwrap_err().to_string();
+        assert!(err.contains("missing field `scheme`"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("ddpm-soak-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("bundle-v1.json");
+        let bundle = json!({"schema": "ddpm-repro-bundle/1", "case": case});
+        std::fs::write(&p, serde_json::to_string(&bundle).unwrap()).unwrap();
+        let err = replay(&p).unwrap_err();
+        assert!(
+            err.contains("unsupported bundle schema `ddpm-repro-bundle/1`"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub mod fig3;
 pub mod tables;
 pub mod util;
 
-/// The declarative scenario layer now lives in `ddpm-serve` (the
-/// resident service builds tenant worlds from the same configs); this
-/// alias keeps the historical `ddpm_bench::scenario_config` path —
-/// and every existing import — working unchanged.
-pub use ddpm_serve::scenario as scenario_config;
-
 pub use util::{Report, RunCtx, TextTable};
 
 /// An experiment entry: its key and runner. Every runner takes the

@@ -22,7 +22,7 @@
 //! and checkpoint dirs) at a known location; CI uses this to upload the
 //! evidence as an artifact when the harness fails.
 
-use ddpm_bench::scenario_config::{resume_scenario, run_scenario, ScenarioConfig};
+use ddpm_serve::scenario::{resume_scenario, run_scenario, ScenarioConfig};
 use ddpm_sim::Engine;
 use serde_json::{json, Value};
 use std::path::PathBuf;

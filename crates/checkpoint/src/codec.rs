@@ -11,7 +11,7 @@
 //! The `&'static str` identifiers embedded in violations and telemetry
 //! events (invariant names, watchdog actions, drop reasons) are written
 //! as plain strings and re-interned on decode against the closed
-//! vocabulary in [`intern`]; the vocabulary is append-only, exactly
+//! vocabulary in `intern`; the vocabulary is append-only, exactly
 //! like the NDJSON schema it mirrors.
 
 use ddpm_net::{Ipv4Header, L4, MarkingField, Packet, PacketId, Protocol, TcpFlags, TrafficClass};

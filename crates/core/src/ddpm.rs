@@ -21,7 +21,7 @@
 
 use ddpm_net::{CodecError, CodecMode, DistanceCodec, Packet};
 use ddpm_sim::{Attribution, MarkEnv, Marker};
-use ddpm_topology::{Coord, NodeId, Topology};
+use ddpm_topology::{Coord, Topology};
 use rand::rngs::SmallRng;
 
 /// The DDPM scheme: switch-side marking plus victim-side identification.
@@ -88,21 +88,6 @@ impl DdpmScheme {
             None => Attribution::none(),
         }
     }
-
-    /// Convenience: identification returning a dense node id.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `attribute`, which returns the shared `Attribution` type"
-    )]
-    #[must_use]
-    pub fn identify_node(
-        &self,
-        topo: &Topology,
-        dest: &Coord,
-        mf: ddpm_net::MarkingField,
-    ) -> Option<NodeId> {
-        self.identify(topo, dest, mf).map(|c| topo.index(&c))
-    }
 }
 
 impl Marker for DdpmScheme {
@@ -156,7 +141,7 @@ mod tests {
     use ddpm_net::{AddrMap, Ipv4Header, MarkingField, PacketId, Protocol, TrafficClass, L4};
     use ddpm_routing::{Router, SelectionPolicy};
     use ddpm_sim::{SimConfig, SimTime, Simulation};
-    use ddpm_topology::FaultSet;
+    use ddpm_topology::{FaultSet, NodeId};
 
     fn mk_packet(map: &AddrMap, id: u64, src: NodeId, dst: NodeId) -> Packet {
         Packet {

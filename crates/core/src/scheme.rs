@@ -1,7 +1,7 @@
 //! Concrete [`MarkingScheme`] plugins and the scheme factory.
 //!
 //! `ddpm-sim` defines the two-sided plugin contract
-//! ([`MarkingScheme`] = switch-side [`Marker`] + victim-side
+//! ([`MarkingScheme`] = switch-side [`ddpm_sim::Marker`] + victim-side
 //! [`Collector`] + budget/cost introspection); this module implements it
 //! for every scheme the crate provides and owns the only place a
 //! [`SchemeSpec`] becomes a live object: [`build_scheme`], which runs
@@ -76,7 +76,7 @@ pub fn build_scheme(spec: SchemeSpec, topo: &Topology) -> Result<Box<dyn Marking
 ///
 /// # Errors
 /// As [`build_scheme`], plus tag-width walls: below
-/// [`MIN_TAG_BITS`](crate::auth::MIN_TAG_BITS), above
+/// [`MIN_TAG_BITS`], above
 /// [`MAX_TAG_BITS`](crate::auth::MAX_TAG_BITS), wider than the inner
 /// scheme leaves spare, or supplied for a scheme that takes none.
 pub fn build_scheme_with(

@@ -8,7 +8,7 @@
 //! that contract over every shipped scenario file, with the invariant
 //! checker recording throughout.
 
-use ddpm_bench::scenario_config::{run_scenario, ScenarioConfig};
+use ddpm_serve::scenario::{run_scenario, ScenarioConfig};
 use ddpm_sim::Engine;
 use serde_json::FromJson;
 use std::path::PathBuf;

@@ -7,7 +7,7 @@
 //! after quiescence — yields the same `ScenarioOutcome` digest as the
 //! one-shot run, for both engines.
 
-use ddpm_bench::scenario_config::{run_scenario, ScenarioConfig, ScenarioWorld};
+use ddpm_serve::scenario::{run_scenario, ScenarioConfig, ScenarioWorld};
 use serde_json::FromJson;
 
 fn cfg(engine: &str) -> ScenarioConfig {

@@ -254,24 +254,8 @@ impl HybridMarking {
         }
     }
 
-    /// Victim-side identification: the full source node, from one
-    /// packet, given the victim's own group coordinate.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `attribute`, which returns the shared `Attribution` type"
-    )]
-    #[must_use]
-    pub fn identify(
-        &self,
-        cluster: &HybridCluster,
-        dest_group: &Coord,
-        mf: MarkingField,
-    ) -> Option<NodeId> {
-        self.decode(cluster, dest_group, mf)
-    }
-
-    /// The decode shared by [`HybridMarking::attribute`] and the
-    /// deprecated `identify`.
+    /// The full source node, from one packet, given the victim's own
+    /// group coordinate; the decode behind [`HybridMarking::attribute`].
     fn decode(
         &self,
         cluster: &HybridCluster,

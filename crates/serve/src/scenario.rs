@@ -3,7 +3,8 @@
 //!
 //! A downstream user describes a cluster, a routing algorithm, a
 //! marking scheme, benign background and an attack in JSON; the runner
-//! executes it and reports statistics, detection and the DDPM census.
+//! executes it and reports statistics, detection and the victim-side
+//! attribution.
 //! See `scenarios/*.json` at the repository root for ready-made files.
 //!
 //! The one-shot entry points ([`run_scenario`], [`resume_scenario`])
@@ -266,34 +267,6 @@ impl RouterSpec {
     }
 }
 
-/// Marking-scheme selection (the legacy one-sided knob; prefer
-/// [`ScenarioConfig::scheme`] for two-sided plugins).
-#[derive(Clone, Copy, Debug)]
-pub enum MarkingSpec {
-    /// No marking at all.
-    None,
-    /// Deterministic distance-driven packet marking (positional codec).
-    Ddpm,
-    /// DDPM with the residue-number-system codec.
-    DdpmResidue,
-    /// Classic deterministic packet marking (ingress signature).
-    Dpm,
-}
-
-impl FromJson for MarkingSpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("none") => Ok(MarkingSpec::None),
-            Some("ddpm") => Ok(MarkingSpec::Ddpm),
-            Some("ddpm_residue") => Ok(MarkingSpec::DdpmResidue),
-            Some("dpm") => Ok(MarkingSpec::Dpm),
-            _ => Err(JsonError::msg(
-                "marking must be one of none, ddpm, ddpm_residue, dpm",
-            )),
-        }
-    }
-}
-
 /// Attack selection.
 #[derive(Clone, Debug)]
 pub enum AttackSpec {
@@ -540,14 +513,12 @@ pub struct ScenarioConfig {
     pub topology: TopologySpec,
     /// Routing algorithm for every switch.
     pub router: RouterSpec,
-    /// Legacy one-sided marking knob (default `ddpm`).
-    pub marking: MarkingSpec,
-    /// Plugin marking scheme (`"scheme": "ddpm" | "dpm" | "ppm-edge" |
-    /// "ppm-xor" | "tracemax" | "none"`). Selects a two-sided
-    /// [`MarkingScheme`] — switch-side marker plus victim-side
-    /// collector — and is mutually exclusive with the legacy
-    /// `"marking"` knob. Unknown names and scheme/topology mismatches
-    /// are loader errors, never panics. Absent = legacy path.
+    /// Marking scheme (`"scheme": "ddpm" | "dpm" | "ppm-edge" |
+    /// "ppm-xor" | "tracemax" | "none"`, or an `auth-*` wrapper).
+    /// Selects a two-sided [`ddpm_sim::MarkingScheme`] — switch-side
+    /// marker plus victim-side collector. Unknown names and
+    /// scheme/topology mismatches are loader errors, never panics.
+    /// Absent = `none`.
     pub scheme: Option<SchemeSpec>,
     /// Keyed-tag width for `auth-*` schemes (`"tag_bits": N`). Carves
     /// `N` bits off the inner scheme's MF budget; absent = the scheme's
@@ -617,7 +588,6 @@ impl FromJson for ScenarioConfig {
             &[
                 "topology",
                 "router",
-                "marking",
                 "scheme",
                 "tag_bits",
                 "adversary",
@@ -649,18 +619,6 @@ impl FromJson for ScenarioConfig {
                 Some(SchemeSpec::parse(name).map_err(JsonError::msg)?)
             }
         };
-        if scheme.is_some() {
-            match v.get("marking") {
-                None | Some(Value::Null) => {}
-                Some(_) => {
-                    return Err(JsonError::msg(
-                        "`scheme` and `marking` are mutually exclusive: `scheme` \
-                         selects the plugin marker and its victim-side collector; \
-                         drop the legacy `marking` knob",
-                    ))
-                }
-            }
-        }
         let tag_bits = match v.get("tag_bits") {
             None | Some(Value::Null) => None,
             Some(_) => Some(as_u32(v, "tag_bits")?),
@@ -725,10 +683,6 @@ impl FromJson for ScenarioConfig {
         Ok(Self {
             topology: TopologySpec::from_json(req(v, "topology")?)?,
             router: RouterSpec::from_json(req(v, "router")?)?,
-            marking: match scheme {
-                Some(_) => MarkingSpec::None,
-                None => MarkingSpec::from_json(req(v, "marking")?)?,
-            },
             scheme,
             tag_bits,
             adversary,
@@ -758,7 +712,7 @@ pub struct ScenarioOutcome {
     /// Order-sensitive fingerprint of everything the run observed:
     /// an FNV-1a hash over the delivered-packet stream (ids, headers
     /// with final marking fields, timestamps, hops), the typed drop
-    /// stream, every invariant violation, and the full [`SimStats`],
+    /// stream, every invariant violation, and the full [`ddpm_sim::SimStats`],
     /// plus human-readable counts. Two runs are behaviourally
     /// identical iff their digests match — the equivalence suite uses
     /// this to prove the sharded engine bit-identical to the serial
@@ -924,7 +878,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "torus", "dims": [8, 8]},
                 "router": "fully_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "attack": {
                     "kind": "udp_flood",
                     "zombies": [3, 40], "victim": 27,
@@ -940,11 +894,16 @@ mod tests {
         let cfg = sample_cfg();
         assert_eq!(cfg.seed, 2004, "defaults applied");
         let out = run_scenario(&cfg).expect("runs");
-        assert!(out.text.contains("census"));
-        let census = out.json["census"].as_array().unwrap();
-        let nodes: Vec<u64> = census.iter().map(|r| r["node"].as_u64().unwrap()).collect();
-        assert!(nodes.contains(&3) && nodes.contains(&40));
-        assert_eq!(nodes.len(), 2);
+        assert!(out.text.contains("attrib :"), "{}", out.text);
+        let att = &out.json["attribution"];
+        let nodes: Vec<u64> = att["candidates"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|c| c.as_u64().unwrap())
+            .collect();
+        assert_eq!(nodes, vec![3, 40], "collector names exactly the zombies");
+        assert_eq!(att["confidence"].as_f64(), Some(1.0));
     }
 
     #[test]
@@ -970,9 +929,6 @@ mod tests {
         cfg.background_interval = 0;
         let err = run_scenario(&cfg).unwrap_err();
         assert!(err.contains("ddpm"), "{err}");
-        // …but the residue codec handles it.
-        cfg.marking = MarkingSpec::DdpmResidue;
-        assert!(run_scenario(&cfg).is_ok());
     }
 
     #[test]
@@ -981,7 +937,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "minimal_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "background_interval": 8,
                 "horizon": 2000,
                 "fault_retries": 4,
@@ -1065,18 +1021,18 @@ mod tests {
     }
 
     #[test]
-    fn scheme_and_marking_are_mutually_exclusive() {
+    fn legacy_marking_field_is_an_unknown_field() {
         let err = serde_json::from_str::<ScenarioConfig>(
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "dimension_order",
-                "scheme": "ddpm",
                 "marking": "ddpm"
             }"#,
         )
         .unwrap_err()
         .to_string();
-        assert!(err.contains("mutually exclusive"), "{err}");
+        assert!(err.contains("unknown field `marking`"), "{err}");
+        assert!(err.contains("scheme"), "lists accepted fields: {err}");
     }
 
     #[test]
@@ -1114,7 +1070,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "dimension_order",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "fault_retires": 6
             }"#,
         )
@@ -1129,25 +1085,25 @@ mod tests {
         for (raw, offender) in [
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4], "wrap": true},
-                    "router": "dimension_order", "marking": "none"}"#,
+                    "router": "dimension_order"}"#,
                 "`wrap` in topology",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order",
                     "attack": {"kind": "udp_flood", "zombies": [1], "victim": 2,
                                "packets_per_zombie": 1, "interval": 1, "rate": 9}}"#,
                 "`rate` in attack",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order",
                     "fault_schedule": [{"at": 1, "kind": "switch_down", "node": 0, "sev": 2}]}"#,
                 "`sev` in fault event",
             ),
             (
                 r#"{"topology": {"kind": "mesh", "dims": [4, 4]},
-                    "router": "dimension_order", "marking": "none",
+                    "router": "dimension_order",
                     "watchdog": {"max_age": 64, "periods": 3}}"#,
                 "`periods` in watchdog",
             ),
@@ -1179,7 +1135,7 @@ mod tests {
         let base = |extra: &str| {
             format!(
                 r#"{{"topology": {{"kind": "mesh", "dims": [4, 4]}},
-                    "router": "dimension_order", "marking": "none", {extra}}}"#
+                    "router": "dimension_order", {extra}}}"#
             )
         };
         let err = serde_json::from_str::<ScenarioConfig>(&base(r#""fault_rate": 1.5"#))
@@ -1202,7 +1158,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "minimal_adaptive",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "background_interval": 16,
                 "horizon": 1500,
                 "invariants": true,
@@ -1237,7 +1193,7 @@ mod tests {
             r#"{
                 "topology": {"kind": "mesh", "dims": [4, 4]},
                 "router": "dimension_order",
-                "marking": "ddpm",
+                "scheme": "ddpm",
                 "checkpoint": {"every": 200, "dir": "target/ckpt", "keep": 3, "crash_at": 400}
             }"#,
         )
@@ -1261,7 +1217,7 @@ mod tests {
         ] {
             let raw = format!(
                 r#"{{"topology": {{"kind": "mesh", "dims": [4, 4]}},
-                    "router": "dimension_order", "marking": "none", {extra}}}"#
+                    "router": "dimension_order", {extra}}}"#
             );
             let err = serde_json::from_str::<ScenarioConfig>(&raw)
                 .unwrap_err()
@@ -1275,7 +1231,7 @@ mod tests {
         let raw = r#"{
             "topology": {"kind": "torus", "dims": [6, 6]},
             "router": "fully_adaptive",
-            "marking": "ddpm",
+            "scheme": "ddpm",
             "horizon": 1200,
             "invariants": true,
             "attack": {"kind": "udp_flood", "zombies": [3, 17], "victim": 30,
@@ -1349,7 +1305,7 @@ mod tests {
         };
         for (extra, needle) in [
             (
-                r#""marking": "ddpm", "adversary": {"switches": [5], "behavior": "skip"}"#,
+                r#""adversary": {"switches": [5], "behavior": "skip"}"#,
                 "requires the `scheme` knob",
             ),
             (
@@ -1369,7 +1325,7 @@ mod tests {
                     "adversary": {"switches": [5], "behavior": "skip", "strength": 2}"#,
                 "unknown field `strength`",
             ),
-            (r#""marking": "ddpm", "tag_bits": 8"#, "requires an auth-* `scheme`"),
+            (r#""tag_bits": 8"#, "requires an auth-* `scheme`"),
             (r#""scheme": "ddpm", "tag_bits": 8"#, "takes no `tag_bits`"),
         ] {
             let err = serde_json::from_str::<ScenarioConfig>(&base(extra))

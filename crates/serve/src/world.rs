@@ -12,17 +12,16 @@
 //! `execute()` so the outcome digest of a world driven in arbitrary
 //! stride interleavings is identical to the standalone run's.
 
-use crate::scenario::{fnv64, AttackSpec, MarkingSpec, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{fnv64, AttackSpec, ScenarioConfig, ScenarioOutcome};
 use ddpm_attack::{
     AdversaryModel, BackgroundTraffic, FloodAttack, PacketFactory, SpoofStrategy, SynFloodAttack,
     TrafficPattern, Workload,
 };
-use ddpm_core::identify::attack_census;
-use ddpm_core::{build_scheme_with, DdpmScheme, DpmScheme};
-use ddpm_net::{AddrMap, CodecMode, TrafficClass};
+use ddpm_core::build_scheme_with;
+use ddpm_net::{AddrMap, TrafficClass};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{
-    InvariantConfig, Marker, MarkingScheme, NoMarking, RetryPolicy, SimConfig, SimTime, Simulation,
+    InvariantConfig, Marker, MarkingScheme, RetryPolicy, SchemeSpec, SimConfig, SimTime, Simulation,
 };
 use ddpm_telemetry::{EventKind as TelEvent, PacketEvent, TelemetryConfig};
 use ddpm_topology::{FaultSchedule, FaultSet, NodeId, Topology};
@@ -91,10 +90,7 @@ pub struct ScenarioWorld {
     sim: Simulation<'static>,
     adversary: Option<Box<AdversaryModel<'static>>>,
     // ---- owners of the borrowed-from allocations --------------------
-    plugin: Option<Box<dyn MarkingScheme>>,
-    ddpm: Option<Box<DdpmScheme>>,
-    _dpm: Box<DpmScheme>,
-    _none: Box<NoMarking>,
+    plugin: Box<dyn MarkingScheme>,
     faults: Box<FaultSet>,
     topo: Box<Topology>,
     // ---- inert owned state ------------------------------------------
@@ -148,10 +144,9 @@ impl ScenarioWorld {
         telemetry: Option<TelemetryConfig>,
     ) -> Result<Self, String> {
         let topo = Box::new(cfg.topology.build());
-        // SAFETY: `topo`, `faults`, `plugin`, `ddpm`, `dpm`, `none` and
-        // `adversary` are boxed and stored in the returned struct,
-        // declared after the fields that borrow them; see the struct
-        // docs for the full argument.
+        // SAFETY: `topo`, `faults`, `plugin` and `adversary` are boxed and
+        // stored in the returned struct, declared after the fields that
+        // borrow them; see the struct docs for the full argument.
         let topo_ref: &'static Topology = unsafe { extend(&*topo) };
         let n = topo_ref.num_nodes();
         let router = cfg.router.build(topo_ref);
@@ -164,52 +159,26 @@ impl ScenarioWorld {
             .validate(topo_ref)
             .map_err(|e| format!("fault_schedule: {e}"))?;
 
-        // The `"scheme"` knob selects a two-sided plugin; scheme/topology
-        // mismatches (e.g. tracemax on a long-diameter mesh) surface here
-        // as loader errors, exactly like an oversized-DDPM config.
-        let plugin: Option<Box<dyn MarkingScheme>> = match cfg.scheme {
-            Some(spec) => Some(build_scheme_with(spec, topo_ref, cfg.tag_bits)?),
-            None => None,
-        };
-        let plugin_ref: Option<&'static dyn MarkingScheme> =
-            plugin.as_deref().map(|p| unsafe { extend(p) });
+        // The `"scheme"` knob selects a two-sided plugin (absent = `none`);
+        // scheme/topology mismatches (e.g. tracemax on a long-diameter
+        // mesh, DDPM on an oversized one) surface here as loader errors.
+        let spec = cfg.scheme.unwrap_or(SchemeSpec::None);
+        let plugin = build_scheme_with(spec, topo_ref, cfg.tag_bits)?;
+        let plugin_ref: &'static dyn MarkingScheme = unsafe { extend(&*plugin) };
         // The `"adversary"` block wraps the plugin marker: compromised
         // switches run the configured behavior, everyone else delegates to
         // the honest scheme. Range checks (switches/framed vs. the built
         // topology) surface here as loader errors.
         let adversary: Option<Box<AdversaryModel<'static>>> = match &cfg.adversary {
             None => None,
-            Some(spec) => {
-                let (p, run) = match (plugin_ref, cfg.scheme) {
-                    (Some(p), Some(run)) => (p, run),
-                    _ => return Err("`adversary` requires the `scheme` knob".into()),
-                };
-                Some(Box::new(
-                    AdversaryModel::new(p, run, topo_ref, spec.clone(), cfg.tag_bits)
-                        .map_err(|e| format!("adversary: {e}"))?,
-                ))
-            }
-        };
-        let ddpm = match cfg.marking {
-            MarkingSpec::Ddpm => Some(Box::new(
-                DdpmScheme::new(topo_ref).map_err(|e| format!("ddpm: {e}"))?,
+            Some(a) => Some(Box::new(
+                AdversaryModel::new(plugin_ref, spec, topo_ref, a.clone(), cfg.tag_bits)
+                    .map_err(|e| format!("adversary: {e}"))?,
             )),
-            MarkingSpec::DdpmResidue => Some(Box::new(
-                DdpmScheme::with_mode(topo_ref, CodecMode::Residue)
-                    .map_err(|e| format!("ddpm: {e}"))?,
-            )),
-            _ => None,
         };
-        let dpm = Box::new(DpmScheme::new());
-        let none = Box::new(NoMarking);
-        let marker: &'static dyn Marker = match (&adversary, plugin_ref, cfg.marking) {
-            (Some(a), _, _) => unsafe { extend(&**a) },
-            (None, Some(p), _) => p,
-            (None, None, MarkingSpec::None) => unsafe { extend(&*none) },
-            (None, None, MarkingSpec::Dpm) => unsafe { extend(&*dpm) },
-            (None, None, MarkingSpec::Ddpm | MarkingSpec::DdpmResidue) => unsafe {
-                extend(&**ddpm.as_ref().expect("built above"))
-            },
+        let marker: &'static dyn Marker = match &adversary {
+            Some(a) => unsafe { extend(&**a) },
+            None => plugin_ref,
         };
 
         let check_node = |id: u32, what: &str| -> Result<NodeId, String> {
@@ -240,12 +209,6 @@ impl ScenarioWorld {
             .to_builder()
             .engine(cfg.engine)
             .build();
-        if let Some(spec) = cfg.scheme {
-            sim_cfg = sim_cfg.to_builder().scheme(spec).build();
-        }
-        if let Some(t) = cfg.tag_bits {
-            sim_cfg = sim_cfg.to_builder().tag_bits(t).build();
-        }
         if let Some(spec) = &cfg.adversary {
             // Lets the core flag compromised nodes: it emits `MarkTamper`
             // telemetry at every marking touch by a compromised switch.
@@ -337,9 +300,6 @@ impl ScenarioWorld {
             sim,
             adversary,
             plugin,
-            ddpm,
-            _dpm: dpm,
-            _none: none,
             faults,
             topo,
             cfg: cfg.clone(),
@@ -477,16 +437,10 @@ impl ScenarioWorld {
     /// and after completion; read-only, so it never perturbs the run.
     ///
     /// # Errors
-    /// No plugin scheme configured, or no victim (neither an `attack`
-    /// block nor an explicit `victim` argument).
+    /// No victim (neither an `attack` block nor an explicit `victim`
+    /// argument), or a victim out of range.
     pub fn identify(&self, victim: Option<u32>) -> Result<OnlineAttribution, String> {
-        let Some(p) = &self.plugin else {
-            return Err(
-                "scenario configures no `scheme`: online identify needs the plugin \
-                 collector (the legacy `marking` knob has no victim side)"
-                    .into(),
-            );
-        };
+        let p = &self.plugin;
         let Some(victim) = victim.or_else(|| self.victim()) else {
             return Err(
                 "no victim to attribute for: the scenario has no `attack` block; \
@@ -627,7 +581,9 @@ impl ScenarioWorld {
     /// telemetry events; call it once per run.
     #[must_use]
     pub fn outcome(&mut self) -> ScenarioOutcome {
+        let victim = self.victim().map(NodeId);
         let cfg = &self.cfg;
+        let p = &self.plugin;
         let topo: &Topology = &self.topo;
         let router = self.router;
         let stats = *self.sim.stats();
@@ -662,15 +618,12 @@ impl ScenarioWorld {
             fnv64(&s_dump),
         );
 
-        let marking_desc = match cfg.scheme {
-            Some(spec) => format!("{} scheme", spec.as_str()),
-            None => format!("{:?} marking", cfg.marking),
-        };
         let mut text = format!(
-            "scenario: {topo}, {} routing, {marking_desc}, {} failed links\n\
+            "scenario: {topo}, {} routing, {} scheme, {} failed links\n\
              benign : {} injected, {} delivered ({:.1}% | mean latency {:.1} cyc)\n\
              attack : {} injected, {} delivered, {} dropped\n",
             router,
+            p.name(),
             self.faults.failed_links(),
             stats.benign.injected,
             stats.benign.delivered,
@@ -721,106 +674,78 @@ impl ScenarioWorld {
                 )),
             }
         }
-        let mut census_json = json!(null);
-        if let Some(scheme) = &self.ddpm {
-            let census = attack_census(topo, scheme, sim.delivered());
-            let mut rows: Vec<(NodeId, u64)> = census.into_iter().collect();
-            rows.sort_by_key(|&(node, c)| (std::cmp::Reverse(c), node));
-            if rows.is_empty() {
-                text.push_str("census : no attack traffic delivered\n");
-            } else {
-                text.push_str("census : DDPM-identified attack sources:\n");
-                for (node, count) in &rows {
-                    text.push_str(&format!(
-                        "         {node} at {} -> {count} packets\n",
-                        topo.coord(*node)
-                    ));
-                }
-            }
-            census_json = json!(rows
-                .iter()
-                .map(|&(node, c)| json!({"node": node.0, "packets": c}))
-                .collect::<Vec<_>>());
-        }
         // Victim-side attribution via the scheme plugin's collector: feed it
         // every attack-class packet the victim received, in delivery order,
         // then ask it who the sources were. Text/JSON only — the behavioural
         // digest hashes the delivered/drop/violation/stats streams, which
         // this post-run analysis does not touch.
         let mut attribution_json = json!(null);
-        if let Some(p) = &self.plugin {
-            let victim = cfg.attack.as_ref().map(|a| match a {
-                AttackSpec::UdpFlood { victim, .. } | AttackSpec::SynFlood { victim, .. } => {
-                    NodeId(*victim)
+        if let Some(victim) = victim {
+            let mut collector = p.collector(topo, victim);
+            let mut last_cycle = 0u64;
+            for d in sim.delivered() {
+                if d.packet.dest_node == victim && d.packet.class == TrafficClass::Attack {
+                    // observe_packet, not observe: the auth-* collectors
+                    // verify the delivered header's keyed tag and reject
+                    // fail-closed; everyone else falls back to plain
+                    // field observation.
+                    collector.observe_packet(&d.packet);
+                    last_cycle = last_cycle.max(d.delivered_at.0);
                 }
-            });
-            if let Some(victim) = victim {
-                let mut collector = p.collector(topo, victim);
-                let mut last_cycle = 0u64;
-                for d in sim.delivered() {
-                    if d.packet.dest_node == victim && d.packet.class == TrafficClass::Attack {
-                        // observe_packet, not observe: the auth-* collectors
-                        // verify the delivered header's keyed tag and reject
-                        // fail-closed; everyone else falls back to plain
-                        // field observation.
-                        collector.observe_packet(&d.packet);
-                        last_cycle = last_cycle.max(d.delivered_at.0);
-                    }
+            }
+            let att = collector.attribute();
+            let observed = collector.observed();
+            let rejected = collector.rejected();
+            let candidates: Vec<NodeId> = att.candidates.clone();
+            if candidates.is_empty() {
+                text.push_str(&format!(
+                    "attrib : {} collector saw {observed} attack packets, named no source\n",
+                    p.name()
+                ));
+            } else {
+                text.push_str(&format!(
+                    "attrib : {} collector saw {observed} attack packets -> {} candidate(s) \
+                     at confidence {:.2}:\n",
+                    p.name(),
+                    candidates.len(),
+                    att.confidence,
+                ));
+                for node in &candidates {
+                    text.push_str(&format!("         {node} at {}\n", topo.coord(*node)));
                 }
-                let att = collector.attribute();
-                let observed = collector.observed();
-                let rejected = collector.rejected();
-                let candidates: Vec<NodeId> = att.candidates.clone();
-                if candidates.is_empty() {
-                    text.push_str(&format!(
-                        "attrib : {} collector saw {observed} attack packets, named no source\n",
-                        p.name()
-                    ));
-                } else {
-                    text.push_str(&format!(
-                        "attrib : {} collector saw {observed} attack packets -> {} candidate(s) \
-                         at confidence {:.2}:\n",
-                        p.name(),
-                        candidates.len(),
-                        att.confidence,
-                    ));
-                    for node in &candidates {
-                        text.push_str(&format!("         {node} at {}\n", topo.coord(*node)));
-                    }
-                }
+            }
+            if rejected > 0 {
+                text.push_str(&format!(
+                    "         {rejected} mark(s) rejected fail-closed (tag did not verify)\n"
+                ));
+            }
+            if let Some(t) = sim.telemetry_mut() {
                 if rejected > 0 {
-                    text.push_str(&format!(
-                        "         {rejected} mark(s) rejected fail-closed (tag did not verify)\n"
-                    ));
-                }
-                if let Some(t) = sim.telemetry_mut() {
-                    if rejected > 0 {
-                        t.record_post_run(PacketEvent {
-                            cycle: last_cycle,
-                            pkt: rejected,
-                            node: victim.0,
-                            kind: TelEvent::AuthReject { scheme: p.name() },
-                        });
-                    }
                     t.record_post_run(PacketEvent {
                         cycle: last_cycle,
-                        pkt: 0,
+                        pkt: rejected,
                         node: victim.0,
-                        kind: TelEvent::Attribute {
-                            scheme: p.name(),
-                            candidates: candidates.len() as u32,
-                            confidence_pm: (att.confidence * 1000.0).round() as u32,
-                        },
+                        kind: TelEvent::AuthReject { scheme: p.name() },
                     });
                 }
-                attribution_json = json!({
-                    "scheme": p.name(),
-                    "observed": observed,
-                    "rejected": rejected,
-                    "candidates": candidates.iter().map(|n| json!(n.0)).collect::<Vec<_>>(),
-                    "confidence": att.confidence,
+                t.record_post_run(PacketEvent {
+                    cycle: last_cycle,
+                    pkt: 0,
+                    node: victim.0,
+                    kind: TelEvent::Attribute {
+                        scheme: p.name(),
+                        candidates: candidates.len() as u32,
+                        confidence_pm: (att.confidence * 1000.0).round() as u32,
+                    },
                 });
             }
+            attribution_json = json!({
+                "scheme": p.name(),
+                "observed": observed,
+                "rejected": rejected,
+                "candidates": candidates.iter().map(|n| json!(n.0)).collect::<Vec<_>>(),
+                "confidence": att.confidence,
+            });
         }
         // Adversary ground truth (the honest victim cannot see this; the
         // report can): what the compromised marking plane actually did.
@@ -896,11 +821,7 @@ impl ScenarioWorld {
                 "port_bytes": stats.port_bytes,
                 "staged_injection": cfg.staged_injection,
             },
-            "census": census_json,
-            "scheme": match cfg.scheme {
-                Some(spec) => json!(spec.as_str()),
-                None => json!(null),
-            },
+            "scheme": p.name(),
             "tag_bits": match cfg.tag_bits {
                 Some(t) => json!(t),
                 None => json!(null),

@@ -8,7 +8,7 @@
 //! (rather than re-running the one-shot runner here) both halves this
 //! suite's cost and rules out the two paths drifting together.
 
-use ddpm_serve::scenario::{ScenarioConfig, ScenarioWorld};
+use ddpm_serve::scenario::{AttackSpec, ScenarioConfig, ScenarioWorld};
 use ddpm_serve::{Server, ServerConfig};
 use serde_json::{json, FromJson, Value};
 use std::collections::HashMap;
@@ -128,29 +128,51 @@ fn wire_level_step_loop_matches_the_pinned_digest() {
 }
 
 /// Online identify at quiescence agrees with the outcome's attribution
-/// block — the mid-flight query path and the post-run summary are the
-/// same computation.
+/// block on every shipped attack scenario — the mid-flight query path
+/// and the post-run summary are the same computation — and names only
+/// the scenario's zombies: all of them when every switch is honest.
 #[test]
 fn online_identify_at_quiescence_matches_the_outcome_attribution() {
-    let (_name, _raw, cfg) = shipped_scenarios()
-        .into_iter()
-        .find(|(name, ..)| name == "tracemax_cube_flood")
-        .expect("shipped scenario present");
-    let mut world = ScenarioWorld::build(&cfg, None, None).expect("builds");
-    while !world.step(10_000) {}
-    let online = world.identify(None).expect("identify");
-    let outcome = world.outcome();
-    let att = &outcome.json["attribution"];
-    assert_eq!(att["scheme"].as_str(), Some(online.scheme));
-    assert_eq!(att["observed"].as_u64(), Some(online.observed));
-    assert_eq!(att["rejected"].as_u64(), Some(online.rejected));
-    let candidates: Vec<u32> = att["candidates"]
-        .as_array()
-        .expect("candidates array")
-        .iter()
-        .map(|c| u32::try_from(c.as_u64().unwrap()).unwrap())
-        .collect();
-    assert_eq!(candidates, online.candidates);
-    let confidence = att["confidence"].as_f64().expect("confidence");
-    assert!((confidence - online.confidence).abs() < 1e-12);
+    let mut checked = 0;
+    for (name, _raw, cfg) in shipped_scenarios() {
+        let Some(attack) = &cfg.attack else { continue };
+        let (AttackSpec::UdpFlood { zombies, .. } | AttackSpec::SynFlood { zombies, .. }) = attack;
+        let mut zombies = zombies.clone();
+        zombies.sort_unstable();
+        let mut world = ScenarioWorld::build(&cfg, None, None).expect("builds");
+        while !world.step(10_000) {}
+        let online = world
+            .identify(None)
+            .unwrap_or_else(|e| panic!("{name}: identify: {e}"));
+        let outcome = world.outcome();
+        let att = &outcome.json["attribution"];
+        assert_eq!(att["scheme"].as_str(), Some(online.scheme), "{name}");
+        assert_eq!(att["observed"].as_u64(), Some(online.observed), "{name}");
+        assert_eq!(att["rejected"].as_u64(), Some(online.rejected), "{name}");
+        let candidates: Vec<u32> = att["candidates"]
+            .as_array()
+            .expect("candidates array")
+            .iter()
+            .map(|c| u32::try_from(c.as_u64().unwrap()).unwrap())
+            .collect();
+        assert_eq!(candidates, online.candidates, "{name}");
+        let confidence = att["confidence"].as_f64().expect("confidence");
+        assert!((confidence - online.confidence).abs() < 1e-12, "{name}");
+        assert!(
+            online.candidates.iter().all(|c| zombies.contains(c)),
+            "{name}: named a non-zombie: {:?} vs zombies {zombies:?}",
+            online.candidates
+        );
+        if cfg.adversary.is_none() {
+            assert_eq!(
+                online.candidates, zombies,
+                "{name}: honest fabric names every zombie"
+            );
+        }
+        checked += 1;
+    }
+    assert!(
+        checked >= 7,
+        "expected the shipped attack scenarios, checked {checked}"
+    );
 }

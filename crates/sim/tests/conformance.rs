@@ -21,9 +21,7 @@
 //! and review the diff of `tests/conformance_digests.txt` like any
 //! other source change.
 
-use ddpm_bench::scenario_config::{
-    run_scenario, AttackSpec, MarkingSpec, RouterSpec, ScenarioConfig, TopologySpec,
-};
+use ddpm_serve::scenario::{run_scenario, AttackSpec, RouterSpec, ScenarioConfig, TopologySpec};
 use ddpm_sim::{AdversaryBehavior, AdversarySpec, Engine, SchemeSpec, WatchdogConfig};
 use ddpm_topology::{FaultEvent, NodeId};
 use serde_json::FromJson;
@@ -78,8 +76,7 @@ fn micro_config(topo: &TopologySpec, router: RouterSpec, churn: &str) -> Scenari
     let mut cfg = ScenarioConfig {
         topology: topo.clone(),
         router,
-        marking: MarkingSpec::Ddpm,
-        scheme: None,
+        scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
         seed: 2004,
@@ -134,7 +131,6 @@ fn scheme_config(topo: &TopologySpec, spec: SchemeSpec) -> ScenarioConfig {
     ScenarioConfig {
         topology: topo.clone(),
         router: RouterSpec::DimensionOrder,
-        marking: MarkingSpec::None,
         scheme: Some(spec),
         tag_bits: None,
         adversary: None,
@@ -265,8 +261,7 @@ fn scale_cells() -> Vec<(String, ScenarioConfig)> {
     let flood = |topo: TopologySpec, victim: u32, staged: bool| ScenarioConfig {
         topology: topo,
         router: RouterSpec::DimensionOrder,
-        marking: MarkingSpec::Ddpm,
-        scheme: None,
+        scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
         seed: 2004,

@@ -125,7 +125,7 @@ impl Telemetry {
     /// latency into the histogram, and stages it for the sinks.
     ///
     /// Sink fan-out is batched: events are staged in order and emitted
-    /// [`FLUSH_BATCH`] at a time (and unconditionally from
+    /// `FLUSH_BATCH` at a time (and unconditionally from
     /// [`Telemetry::finish`]), so the per-event hot-path cost is a
     /// counter bump and a `Vec` push rather than a mutex lock per sink.
     /// Sinks observe the exact same event sequence, just later; reads

@@ -41,7 +41,7 @@ const WRITE_RETRIES: u32 = 3;
 /// Streams events as NDJSON (one JSON object per line) to any writer.
 ///
 /// I/O failures degrade gracefully: a failing write is retried
-/// [`WRITE_RETRIES`] times with exponential backoff (1 ms, 2 ms, 4 ms),
+/// `WRITE_RETRIES` times with exponential backoff (1 ms, 2 ms, 4 ms),
 /// and if the writer still refuses, the sink prints **one** console
 /// warning, flips to [`EventSink::degraded`] and behaves like
 /// [`NullSink`] from then on. A simulation is never killed — and never
