@@ -5,7 +5,7 @@
 //! tests both script sessions through this.
 
 use serde_json::{json, Map, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 /// A connected client. Requests are numbered automatically (`"id": 1,
@@ -17,13 +17,17 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to `addr` (e.g. `"127.0.0.1:4650"`).
+    /// Connects to `addr` (e.g. `"127.0.0.1:4650"`), with `TCP_NODELAY`
+    /// set so each request line leaves as soon as it is written.
     ///
     /// # Errors
     /// Connection failures.
     pub fn connect(addr: &str) -> Result<Self, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .map_err(|e| format!("setting TCP_NODELAY: {e}"))?;
         let reader = stream
             .try_clone()
             .map_err(|e| format!("cloning stream: {e}"))?;
@@ -51,8 +55,8 @@ impl ServeClient {
                 req.insert(k.clone(), v.clone());
             }
         }
-        let line = Value::Object(req).to_string();
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
+        crate::server::send_line(&mut self.writer, Value::Object(req).to_string())
+            .map_err(|e| format!("send: {e}"))?;
         let mut resp = String::new();
         let n = self
             .reader

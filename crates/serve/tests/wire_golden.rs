@@ -5,8 +5,10 @@
 //! values for a fixed scenario. Any drift in the protocol (or in the
 //! simulation's determinism) shows up as a byte diff here.
 
-use ddpm_serve::{Server, ServerConfig};
-use std::io::{BufRead, BufReader, Write};
+use ddpm_serve::server::MAX_REQUEST_LINE;
+use ddpm_serve::{ServeClient, Server, ServerConfig};
+use serde_json::{json, Value};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -59,7 +61,9 @@ impl Drop for LiveServer {
 
 /// Sends one raw request line, returns the raw response line.
 fn roundtrip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &str) -> String {
-    writeln!(writer, "{line}").expect("send");
+    writer
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send");
     let mut resp = String::new();
     assert!(
         reader.read_line(&mut resp).expect("recv") > 0,
@@ -144,5 +148,93 @@ fn scripted_session_produces_the_pinned_lines() {
         rt(r#"{"id":9,"verb":"tenant.stats","tenant":"g"}"#),
         r#"{"id":9,"ok":false,"error":"no such tenant `g`"}"#
     );
+    drop(live);
+}
+
+/// A request line over the cap gets a pinned error, then the server
+/// closes that connection; the server itself keeps serving.
+#[test]
+fn oversized_request_line_is_refused_and_closes_the_connection() {
+    let live = LiveServer::start();
+    let stream = TcpStream::connect(&live.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    // One byte over the cap and no newline: the server must stop
+    // reading there instead of buffering until a newline arrives.
+    writer
+        .write_all(&vec![b'x'; MAX_REQUEST_LINE + 1])
+        .expect("send oversized line");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("recv");
+    assert_eq!(
+        resp,
+        "{\"id\":null,\"ok\":false,\"error\":\"request line exceeds 1048576 bytes; \
+         closing the connection\"}\n"
+    );
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).expect("read to EOF"),
+        0,
+        "connection must close after the refusal"
+    );
+
+    // A line exactly at the cap is read whole and answered in-band.
+    let stream = TcpStream::connect(&live.addr).expect("reconnect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut at_cap = vec![b' '; MAX_REQUEST_LINE];
+    at_cap[..2].copy_from_slice(b"{}");
+    at_cap.push(b'\n');
+    writer.write_all(&at_cap).expect("send line at the cap");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("recv");
+    assert!(
+        resp.starts_with(r#"{"id":null,"ok":false,"error":"#),
+        "unexpected response to a line at the cap: {resp}"
+    );
+    // Bytes that are not UTF-8 get an in-band error; the connection stays.
+    writer.write_all(b"\xff\xfe\n").expect("send non-UTF-8 line");
+    let mut resp = String::new();
+    reader.read_line(&mut resp).expect("recv");
+    assert_eq!(
+        resp,
+        "{\"id\":null,\"ok\":false,\"error\":\"request line is not valid UTF-8\"}\n"
+    );
+    assert_eq!(
+        roundtrip(&mut reader, &mut writer, r#"{"id":1,"verb":"server.info"}"#),
+        r#"{"id":1,"ok":true,"tenants":[],"workers":1,"stride":4096,"draining":false}"#
+    );
+    drop(live);
+}
+
+/// Request and response lines each leave in one segment on a
+/// `TCP_NODELAY` socket, so an idle round trip costs microseconds. A
+/// line written as body then newline on a Nagle socket waits for the
+/// peer's delayed ACK instead: about 40-80 ms per round trip.
+#[test]
+fn idle_round_trip_is_not_held_back_by_nagle() {
+    let live = LiveServer::start();
+    let mut client = ServeClient::connect(&live.addr).expect("connect");
+    let scenario: Value = serde_json::from_str(SCENARIO).expect("scenario JSON");
+    client
+        .call(
+            "tenant.create",
+            &json!({"name": "idle", "autorun": false, "scenario": scenario}),
+        )
+        .expect("create");
+    let mut rtts: Vec<std::time::Duration> = (0..50)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            client.tenant_call("tenant.stats", "idle").expect("stats");
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort_unstable();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median tenant.stats round trip {median:?} (sorted: {rtts:?})"
+    );
+    drop(client);
     drop(live);
 }

@@ -171,7 +171,10 @@ impl Attribution {
 /// may be called at any point (it is *online*), and takes `&mut self` so
 /// implementations can cache expensive work — e.g. PPM graph
 /// reconstruction reuses its last result until a new mark arrives.
-pub trait Collector {
+///
+/// `Send` is a supertrait so a service tenant can keep its victim's
+/// collector resident while the tenant migrates between worker threads.
+pub trait Collector: Send {
     /// Ingests the marking field of one delivered packet.
     fn observe(&mut self, mf: MarkingField);
 
