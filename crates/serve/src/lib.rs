@@ -34,4 +34,4 @@ mod world;
 
 pub use client::ServeClient;
 pub use server::{Server, ServerConfig};
-pub use world::{OnlineAttribution, ScenarioWorld};
+pub use world::{CapturedCheckpoint, OnlineAttribution, ScenarioWorld};
