@@ -37,7 +37,7 @@ fn main() {
             }
             sim.schedule(SimTime(k * 3), factory.benign(s, d, L4::udp(1, 7), 128));
         }
-        ddpm_engine::run(&mut sim);
+        sim.run();
         let pps = PACKETS as f64 / t.elapsed().as_secs_f64();
         best = best.max(pps);
     }

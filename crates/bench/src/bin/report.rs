@@ -14,7 +14,6 @@
 //! `DIR/<key>.ndjson`.
 
 use ddpm_bench::{all_experiments, RunCtx};
-use ddpm_sim::Engine;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -27,8 +26,6 @@ enum Apply {
     Quick,
     SoakSecs,
     SoakDir,
-    Engine,
-    Shards,
     CheckpointEvery,
     CheckpointDir,
     List,
@@ -90,18 +87,6 @@ const FLAGS: &[Flag] = &[
         apply: Apply::SoakDir,
     },
     Flag {
-        name: "--engine",
-        value: Some("NAME"),
-        help: "pin the execution engine: serial or sharded (see --shards)",
-        apply: Apply::Engine,
-    },
-    Flag {
-        name: "--shards",
-        value: Some("N"),
-        help: "spatial shard count for the sharded engine (implies --engine sharded)",
-        apply: Apply::Shards,
-    },
-    Flag {
         name: "--checkpoint-every",
         value: Some("N"),
         help: "checkpoint cadence in cycles for `resume` (overrides the stored one)",
@@ -149,8 +134,6 @@ struct Cli {
     json_dir: Option<PathBuf>,
     ctx: RunCtx,
     threads: Option<usize>,
-    engine_name: Option<String>,
-    shards: Option<usize>,
     checkpoint_every: Option<u64>,
     checkpoint_dir: Option<PathBuf>,
     wanted: Vec<String>,
@@ -163,8 +146,6 @@ fn parse(args: Vec<String>) -> Result<Option<Cli>, String> {
         json_dir: None,
         ctx: RunCtx::default(),
         threads: None,
-        engine_name: None,
-        shards: None,
         checkpoint_every: None,
         checkpoint_dir: None,
         wanted: Vec::new(),
@@ -203,11 +184,6 @@ fn parse(args: Vec<String>) -> Result<Option<Cli>, String> {
                     Some(v.parse().map_err(|_| format!("bad --soak-secs value `{v}`"))?);
             }
             Apply::SoakDir => cli.ctx.soak_dir = Some(PathBuf::from(value()?)),
-            Apply::Engine => cli.engine_name = Some(value()?),
-            Apply::Shards => {
-                let v = value()?;
-                cli.shards = Some(v.parse().map_err(|_| format!("bad --shards value `{v}`"))?);
-            }
             Apply::CheckpointEvery => {
                 let v = value()?;
                 let n: u64 = v
@@ -231,13 +207,6 @@ fn parse(args: Vec<String>) -> Result<Option<Cli>, String> {
             }
         }
     }
-    // `--engine`/`--shards` compose in either order; a bare `--shards N`
-    // (N > 1) is an unambiguous ask for the sharded engine.
-    cli.ctx.engine = match (&cli.engine_name, cli.shards) {
-        (Some(name), shards) => Some(Engine::parse(name, shards.unwrap_or(1).max(1))?),
-        (None, Some(n)) if n > 1 => Some(Engine::Sharded { shards: n }),
-        _ => None,
-    };
     if cli.wanted.is_empty() {
         return Err("no experiments named".into());
     }

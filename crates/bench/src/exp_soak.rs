@@ -26,7 +26,7 @@ use ddpm_net::{AddrMap, L4};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_serve::scenario::{RouterSpec, TopologySpec};
 use ddpm_sim::{
-    AdversaryBehavior, AdversarySpec, Engine, InvariantConfig, Marker, RetryPolicy, SchemeSpec,
+    AdversaryBehavior, AdversarySpec, InvariantConfig, Marker, RetryPolicy, SchemeSpec,
     SimConfig, SimStats, SimTime, Simulation, Violation, WatchdogConfig,
 };
 use ddpm_telemetry::PacketEvent;
@@ -82,11 +82,6 @@ pub struct SoakCase {
     /// Chaos self-test: inject one synthetic violation at this cycle
     /// (exercises the violation → bundle → replay pipeline).
     pub selftest_at: Option<u64>,
-    /// Execution engine the case runs under. Part of the fuzzed axis
-    /// space: engines are deterministically equivalent, so a violation
-    /// found under one engine must replay identically under the same
-    /// engine — and the bundle records which one produced it.
-    pub engine: Engine,
 }
 
 fn policy_name(p: SelectionPolicy) -> &'static str {
@@ -129,13 +124,6 @@ fn topology_json(t: &TopologySpec) -> Value {
 
 fn dims_json(dims: &[u16]) -> Value {
     Value::Array(dims.iter().map(|&d| json!(u64::from(d))).collect())
-}
-
-fn engine_json(e: Engine) -> Value {
-    match e {
-        Engine::Serial => json!({"name": "serial"}),
-        Engine::Sharded { shards } => json!({"name": "sharded", "shards": shards as u64}),
-    }
 }
 
 fn adversary_json(a: &AdversarySpec) -> Value {
@@ -183,21 +171,6 @@ fn adversary_from(v: Option<&Value>) -> Result<Option<AdversarySpec>, JsonError>
     Ok(Some(AdversarySpec::new(switches, behavior, framed, seed)))
 }
 
-fn engine_from(v: Option<&Value>) -> Result<Engine, JsonError> {
-    match v {
-        // Pre-engine bundles (all serial) parse unchanged.
-        None | Some(Value::Null) => Ok(Engine::Serial),
-        Some(e) => {
-            let name = e
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| JsonError::msg("`engine.name` must be a string"))?;
-            let shards = e.get("shards").and_then(Value::as_u64).unwrap_or(1) as usize;
-            Engine::parse(name, shards).map_err(JsonError::msg)
-        }
-    }
-}
-
 impl SoakCase {
     /// Serialises the case; `from_json` inverts this exactly.
     #[must_use]
@@ -224,7 +197,6 @@ impl SoakCase {
                 "stall_cycles": self.stall_cycles,
             },
             "selftest_at": self.selftest_at.map_or(Value::Null, |c| json!(c)),
-            "engine": engine_json(self.engine),
         })
     }
 }
@@ -285,7 +257,6 @@ impl FromJson for SoakCase {
             max_age: sub(wd, "max_age")?,
             stall_cycles: sub(wd, "stall_cycles")?,
             selftest_at,
-            engine: engine_from(v.get("engine"))?,
         })
     }
 }
@@ -339,7 +310,6 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, String> {
     let schedule = FaultSchedule::churn(&topo, &churn, || rng.gen::<f64>());
     let mut builder = SimConfig::builder()
         .seed(case.seed ^ 0x50AC)
-        .engine(case.engine)
         .watchdog(WatchdogConfig {
             check_period: case.check_period,
             max_age: case.max_age,
@@ -369,7 +339,7 @@ pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, String> {
             factory.benign(src, dst, L4::udp(9, 9), 64),
         );
     }
-    let stats = ddpm_engine::run(&mut sim);
+    let stats = sim.run();
     Ok(CaseOutcome {
         stats,
         violations: sim.violations().to_vec(),
@@ -397,9 +367,6 @@ pub fn bundle_json(case: &SoakCase, out: &CaseOutcome) -> Value {
     json!({
         "schema": BUNDLE_SCHEMA,
         "case": case.to_json(),
-        // Which engine produced the violation, duplicated out of the
-        // case for greppability across a bundle directory.
-        "engine": engine_json(case.engine),
         "violation": {
             "cycle": v.cycle,
             "pkt": v.pkt,
@@ -479,11 +446,10 @@ pub fn replay(path: &Path) -> Result<Report, String> {
         ),
     };
     let body = format!(
-        "bundle : {}\ncase   : seed {:#x}, {} packets, {} engine\nverdict: {verdict}\n",
+        "bundle : {}\ncase   : seed {:#x}, {} packets\nverdict: {verdict}\n",
         path.display(),
         case.seed,
         case.packets,
-        case.engine.as_str(),
     );
     Ok(Report {
         key: "replay",
@@ -505,7 +471,7 @@ pub fn replay(path: &Path) -> Result<Report, String> {
 /// Draws the next fuzz case. Everything derives from `rng` (itself
 /// seeded from the soak's base seed) plus the per-case `seed`, so the
 /// whole soak is reproducible from `--seed`.
-fn random_case(rng: &mut SmallRng, seed: u64, quick: bool, engine: Option<Engine>) -> SoakCase {
+fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> SoakCase {
     let topology = match rng.gen_range(0..5u32) {
         0 => TopologySpec::Mesh { dims: vec![4, 4] },
         1 => TopologySpec::Mesh { dims: vec![8, 8] },
@@ -575,15 +541,6 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool, engine: Option<Engine
         max_age: [96, 512, 2048][rng.gen_range(0..3usize)],
         stall_cycles: 2048,
         selftest_at: None,
-        // The engine axis: serial and sharded runs of the same case are
-        // interchangeable (deterministic equivalence), so fuzzing it
-        // doubles as a continuous cross-engine consistency check. A
-        // `--engine` override (CI's sharded smoke) pins every case.
-        engine: engine.unwrap_or_else(|| match rng.gen_range(0..3u32) {
-            0 => Engine::Serial,
-            1 => Engine::Sharded { shards: 2 },
-            _ => Engine::Sharded { shards: 4 },
-        }),
     }
 }
 
@@ -613,7 +570,7 @@ pub fn run(ctx: &RunCtx) -> Report {
     while cases == 0
         || (start.elapsed() < budget && !ddpm_checkpoint::interrupt::requested())
     {
-        let case = random_case(&mut rng, base.wrapping_add(cases), ctx.quick, ctx.engine);
+        let case = random_case(&mut rng, base.wrapping_add(cases), ctx.quick);
         cases += 1;
         match run_case(&case) {
             Ok(out) => {
@@ -719,7 +676,6 @@ mod tests {
             max_age: 1024,
             stall_cycles: 2048,
             selftest_at: None,
-            engine: Engine::Serial,
         }
     }
 
@@ -732,7 +688,6 @@ mod tests {
         let mut c2 = tiny_case(1);
         c2.adversary = None;
         c2.selftest_at = Some(9);
-        c2.engine = Engine::Sharded { shards: 4 };
         let b2 = SoakCase::from_json(&c2.to_json()).expect("parses back");
         assert_eq!(c2.to_json(), b2.to_json());
         // A framing adversary under the auth scheme round-trips whole.
@@ -746,6 +701,31 @@ mod tests {
         ));
         let b3 = SoakCase::from_json(&c3.to_json()).expect("parses back");
         assert_eq!(c3.to_json(), b3.to_json());
+        // A bundle written while cases still carried an execution
+        // engine parses (the key is ignored) and replays.
+        let mut c4 = tiny_case(0xFA12);
+        c4.selftest_at = Some(50);
+        let out = run_case(&c4).expect("runs");
+        let engine = json!({"name": "sharded", "shards": 4u64});
+        let Value::Object(mut top) = bundle_json(&c4, &out) else {
+            panic!("bundle is a JSON object")
+        };
+        let Some(Value::Object(mut case)) = top.get("case").cloned() else {
+            panic!("bundle carries its case")
+        };
+        case.insert("engine".to_string(), engine.clone());
+        top.insert("case".to_string(), Value::Object(case));
+        top.insert("engine".to_string(), engine);
+        let bundle = Value::Object(top);
+        let b4 = SoakCase::from_json(&bundle["case"]).expect("engine key is ignored");
+        assert_eq!(c4.to_json(), b4.to_json());
+        let dir = std::env::temp_dir().join(format!("ddpm-soak-engine-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("bundle-engine.json");
+        std::fs::write(&p, serde_json::to_string(&bundle).unwrap()).unwrap();
+        let report = replay(&p).expect("replays");
+        assert_eq!(report.json["reproduced"], true, "{}", report.body);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -802,9 +782,6 @@ mod tests {
         // must survive the disk round-trip and replay byte-identically.
         let mut case = tiny_case(0xFA11);
         case.selftest_at = Some(50);
-        // Run the repro pipeline under the sharded engine: the bundle
-        // must record it and the replay must honour it.
-        case.engine = Engine::Sharded { shards: 2 };
         let out = run_case(&case).expect("runs");
         assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
         assert!(!out.tail.is_empty(), "tail captured");

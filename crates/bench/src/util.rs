@@ -1,7 +1,6 @@
 //! Report plumbing: the run context every experiment receives,
 //! plain-text tables and machine-readable output.
 
-use ddpm_sim::Engine;
 use ddpm_telemetry::TelemetryConfig;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
@@ -29,11 +28,6 @@ pub struct RunCtx {
     /// Where the soak writes repro bundles on failure (`--soak-dir`).
     /// Defaults to `target/soak-bundles`.
     pub soak_dir: Option<PathBuf>,
-    /// Pin the execution engine (`--engine serial|sharded` plus
-    /// `--shards N`). `None` leaves each experiment's own choice in
-    /// place (the soak fuzzes the engine axis; everything else runs
-    /// serial).
-    pub engine: Option<Engine>,
 }
 
 impl RunCtx {
@@ -184,6 +178,10 @@ pub fn write_json(path: &Path, value: &Value) -> Result<(), String> {
 /// service-load experiment co-own `BENCH_sim_throughput.json` without
 /// clobbering each other's rows.
 ///
+/// Every row written is stamped with the host it was measured on:
+/// `"cores"` (`available_parallelism`) and `"rev"` (`git rev-parse
+/// --short HEAD` in the document's directory, or `"unknown"`).
+///
 /// # Errors
 /// As [`write_json`]; an unreadable or unparseable existing file is
 /// treated as absent, not an error.
@@ -201,8 +199,34 @@ pub fn merge_bench_rows(
             }
         }
     }
-    rows.extend(new_rows);
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let rev = git_rev(path.parent().filter(|p| !p.as_os_str().is_empty()));
+    rows.extend(new_rows.into_iter().map(|row| match row {
+        Value::Object(mut m) => {
+            m.insert("cores".to_string(), json!(cores as u64));
+            m.insert("rev".to_string(), json!(rev.clone()));
+            Value::Object(m)
+        }
+        other => other,
+    }));
     write_json(path, &json!({"bench": bench, "rows": rows}))
+}
+
+/// `git rev-parse --short HEAD` run in `dir` (the current directory
+/// when `None`), or `"unknown"` outside a checkout or without git.
+fn git_rev(dir: Option<&Path>) -> String {
+    let mut cmd = std::process::Command::new("git");
+    cmd.args(["rev-parse", "--short", "HEAD"]);
+    if let Some(dir) = dir {
+        cmd.current_dir(dir);
+    }
+    cmd.output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Formats a float with sensible precision for tables.
@@ -301,6 +325,11 @@ mod tests {
             .map(|r| r["engine"].as_str().unwrap())
             .collect();
         assert_eq!(engines, ["serial", "serve-8t"]);
+        // Written rows carry the host stamp; preserved rows are as read.
+        let serve_row = &doc["rows"][1];
+        assert!(serve_row["cores"].as_u64().is_some_and(|c| c >= 1), "{serve_row}");
+        assert!(serve_row["rev"].as_str().is_some_and(|r| !r.is_empty()), "{serve_row}");
+        assert!(doc["rows"][0]["cores"].is_null());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

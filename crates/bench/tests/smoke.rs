@@ -127,3 +127,19 @@ fn serial_telemetry_off_throughput_has_not_regressed() {
         regressions.join("\n")
     );
 }
+
+/// The removed execution-engine flags are unknown flags like any other:
+/// usage on stderr, exit status 1.
+#[test]
+fn removed_engine_flags_exit_1_with_usage() {
+    for args in [&["--engine", "sharded", "table3"][..], &["--shards", "4", "table3"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(args)
+            .output()
+            .expect("spawn report");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{}`", args[0])), "{err}");
+        assert!(err.contains("usage: report"), "{err}");
+    }
+}

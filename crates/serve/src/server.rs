@@ -24,7 +24,7 @@
 //! the tenant lock; the server's writer thread encodes the copy and
 //! writes it to disk, so neither the tenant nor the worker waits on the
 //! disk. [`Server::resume_tenants`] rebuilds the full tenant set from
-//! such a root after a crash or drain, and the engine's determinism
+//! such a root after a crash or drain, and the simulator's determinism
 //! contract makes the resumed runs bit-identical continuations.
 
 use crate::proto::{self, Envelope, Request};

@@ -60,8 +60,8 @@ fn every_shipped_scenario_stride_run_matches_the_pinned_digest() {
     let scenarios = shipped_scenarios();
     assert!(scenarios.len() >= 5, "expected the shipped scenario files");
     // Deliberately awkward stride schedule: a tiny opener, a huge
-    // middle, ragged remainders — nothing lines up with event cadence,
-    // checkpoint cadence or the sharded engine's window barriers.
+    // middle, ragged remainders — nothing lines up with event cadence
+    // or checkpoint cadence.
     let strides = [13u64, 50_000, 977, 1, 4096];
     for (name, _raw, cfg) in scenarios {
         let want = pinned

@@ -91,52 +91,6 @@ impl CheckpointConfig {
     }
 }
 
-/// Which execution engine runs the event loop.
-///
-/// The engines are **deterministically equivalent**: for a given config
-/// and injection schedule, delivered packets, typed drops, marks,
-/// statistics and invariant verdicts are bit-identical. `Sharded` only
-/// changes wall-clock cost, never results — the property the
-/// `ddpm-engine` equivalence suite pins.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The single-threaded event loop (`Simulation::run`).
-    #[default]
-    Serial,
-    /// The conservative spatially-sharded parallel engine
-    /// (`ddpm-engine`): switches are partitioned into `shards` shards,
-    /// each with its own event queue and worker, synchronizing on cycle
-    /// windows bounded by the 1-hop lookahead.
-    Sharded {
-        /// Number of spatial shards (clamped to at least 1; a value of
-        /// 1 falls back to the serial loop).
-        shards: usize,
-    },
-}
-
-impl Engine {
-    /// Parses the scenario-file / CLI spelling: `serial` or `sharded`
-    /// (shard count supplied separately).
-    pub fn parse(name: &str, shards: usize) -> Result<Self, String> {
-        match name {
-            "serial" => Ok(Self::Serial),
-            "sharded" => Ok(Self::Sharded {
-                shards: shards.max(1),
-            }),
-            other => Err(format!("unknown engine `{other}` (serial|sharded)")),
-        }
-    }
-
-    /// Stable name (`serial` / `sharded`).
-    #[must_use]
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Self::Serial => "serial",
-            Self::Sharded { .. } => "sharded",
-        }
-    }
-}
-
 /// Tunable parameters of a simulation run.
 ///
 /// Construct via [`SimConfig::builder`]:
@@ -199,9 +153,6 @@ pub struct SimConfig {
     /// RNG seed. Identical configs + identical injections ⇒ identical
     /// runs.
     pub seed: u64,
-    /// Which execution engine runs the event loop. Results are
-    /// engine-invariant; only wall-clock cost changes.
-    pub engine: Engine,
     /// Compromised-switch adversary (driver-interpreted): which
     /// switches' marking planes misbehave
     /// and how. The simulator core uses it only to flag `MarkTamper`
@@ -230,7 +181,6 @@ impl Default for SimConfig {
             watchdog: None,
             invariants: InvariantConfig::default(),
             seed: 0xDD9A,
-            engine: Engine::Serial,
             adversary: None,
             checkpoint: None,
         }
@@ -372,13 +322,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the execution engine (results are engine-invariant).
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.cfg.engine = engine;
-        self
-    }
-
     /// Installs a compromised-switch adversary (see
     /// [`SimConfig::adversary`]).
     #[must_use]
@@ -428,7 +371,6 @@ mod tests {
             .watchdog(WatchdogConfig::default())
             .invariants(InvariantConfig::strict())
             .seed(42)
-            .engine(Engine::Sharded { shards: 4 })
             .adversary(adversary.clone())
             .checkpoint(CheckpointConfig::new(500, "/tmp/ckpt"))
             .build();
@@ -444,7 +386,6 @@ mod tests {
         assert_eq!(cfg.watchdog, Some(WatchdogConfig::default()));
         assert!(cfg.invariants.enabled && cfg.invariants.panic_on_violation);
         assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.engine, Engine::Sharded { shards: 4 });
         assert_eq!(cfg.adversary, Some(adversary));
         let ck = cfg.checkpoint.expect("checkpoint knob set");
         assert_eq!(ck.every, 500);
@@ -457,24 +398,6 @@ mod tests {
     fn checkpoint_defaults_off_and_every_clamps() {
         assert_eq!(SimConfig::default().checkpoint, None);
         assert_eq!(CheckpointConfig::new(0, "x").every, 1, "cadence clamps to 1");
-    }
-
-    #[test]
-    fn engine_parses_and_defaults_serial() {
-        assert_eq!(SimConfig::default().engine, Engine::Serial);
-        assert_eq!(Engine::parse("serial", 8), Ok(Engine::Serial));
-        assert_eq!(
-            Engine::parse("sharded", 4),
-            Ok(Engine::Sharded { shards: 4 })
-        );
-        assert_eq!(
-            Engine::parse("sharded", 0),
-            Ok(Engine::Sharded { shards: 1 }),
-            "shard count clamps to 1"
-        );
-        assert!(Engine::parse("warp", 4).is_err());
-        assert_eq!(Engine::Serial.as_str(), "serial");
-        assert_eq!(Engine::Sharded { shards: 2 }.as_str(), "sharded");
     }
 
     #[test]

@@ -1,24 +1,13 @@
-//! The event queue and the packet arena.
+//! The event queue.
 //!
-//! Both structures here are hot-path replacements introduced by the
-//! single-core overhaul (DESIGN.md §9) and both are pinned by the
-//! conformance corpus (`tests/conformance.rs`): they must reproduce the
-//! original `BinaryHeap` + `Box`-per-packet behaviour bit-for-bit.
-//!
-//! * [`EventQueue`] — a bucketed cycle-wheel: O(1) schedule/pop for the
-//!   bounded `service + latency` scheduling horizon of a switch fabric,
-//!   with a heap fallback for far-future timers (watchdog sweeps, fault
-//!   schedules, retry backoffs). Ties drain in the canonical
-//!   `(cycle, rank, pkey, seq)` order — the same key the sharded engine
-//!   merges on.
-//! * [`Slab`] — an append-only arena with generation-checked handles
-//!   for in-flight packet state. Indices are **never** recycled (the
-//!   index doubles as the canonical `pkey` tie-breaker and the
-//!   per-packet RNG seed, so recycling would reorder same-cycle ties);
-//!   what is reclaimed on death is the payload, and the bumped slot
-//!   generation turns any later access through a stale handle into
-//!   `None` — surfaced by the simulator as a typed `stale_handle`
-//!   violation, never a resurrected packet.
+//! [`EventQueue`] is a hot-path replacement introduced by the
+//! single-core overhaul (DESIGN.md §9), pinned by the conformance corpus
+//! (`tests/conformance.rs`): it must reproduce the original
+//! `BinaryHeap` behaviour bit-for-bit. It is a bucketed cycle-wheel:
+//! O(1) schedule/pop for the bounded `service + latency` scheduling
+//! horizon of a switch fabric, with a heap fallback for far-future
+//! timers (watchdog sweeps, fault schedules, retry backoffs). Ties drain
+//! in the canonical `(cycle, rank, pkey, seq)` order.
 
 use crate::time::SimTime;
 use ddpm_topology::FaultEvent;
@@ -68,12 +57,12 @@ pub enum EventKind {
 ///
 /// * `rank` — fault events first, then the watchdog sweep, then packet
 ///   events. Global events at a cycle always precede packet events at
-///   that cycle, in every engine.
+///   that cycle.
 /// * `packet` — the in-flight handle, for packet events. A live packet
 ///   has at most one pending event, so `(time, packet)` is unique and
 ///   the same-cycle order is identical however events were inserted —
-///   the property that lets the sharded engine (`ddpm-engine`) merge
-///   per-shard streams bit-identically to the serial run.
+///   the property that lets a restored queue (checkpoint resume) drain
+///   exactly like the original.
 /// * `seq` — insertion sequence, the final tie-break (same-cycle fault
 ///   events apply in schedule order).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -87,7 +76,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// The canonical ordering key shared by every engine.
+    /// The canonical ordering key the queue drains by.
     #[must_use]
     pub fn canonical_key(&self) -> (u64, u8, u64, u64) {
         let (rank, pkey) = match self.kind {
@@ -153,19 +142,7 @@ pub struct EventQueue {
     seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::with_horizon(64)
-    }
-}
-
 impl EventQueue {
-    /// An empty queue with the default wheel horizon.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An empty queue whose wheel covers at least `horizon` cycles of
     /// look-ahead (rounded up to a power of two, clamped to a sane
     /// range). Callers size this as `buffer · service + latency` plus
@@ -277,7 +254,8 @@ impl EventQueue {
     }
 
     /// Pops the earliest event iff it fires strictly before `end` —
-    /// the sharded engine's window drain, without a separate peek scan.
+    /// the segment drain of `Simulation::run_until`, without a separate
+    /// peek scan.
     pub fn pop_before(&mut self, end: u64) -> Option<Event> {
         if self.cur.is_empty() {
             let t = self.peek_cycle()?;
@@ -315,8 +293,7 @@ impl EventQueue {
         out
     }
 
-    /// Fire time of the earliest pending event, without popping it. The
-    /// sharded engine uses this to bound its cycle windows.
+    /// Fire time of the earliest pending event, without popping it.
     #[must_use]
     pub fn next_time(&self) -> Option<u64> {
         if let Some(e) = self.cur.last() {
@@ -382,226 +359,13 @@ impl EventQueue {
     }
 }
 
-/// A generation-checked handle into a [`Slab`]. Copyable and cheap;
-/// resolving it after the slot was freed yields `None` instead of a
-/// different (or resurrected) value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct SlabHandle {
-    idx: u32,
-    gen: u32,
-}
-
-impl SlabHandle {
-    /// The dense slot index (stable for the lifetime of the slab — the
-    /// simulator uses it as the canonical `pkey`).
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.idx as usize
-    }
-
-    /// The generation this handle was minted at.
-    #[must_use]
-    pub fn generation(self) -> u32 {
-        self.gen
-    }
-}
-
-struct Slot<T> {
-    gen: u32,
-    val: Option<T>,
-}
-
-/// An append-only arena for in-flight packet state.
-///
-/// * `insert` appends and returns a [`SlabHandle`]; indices are never
-///   recycled for new values, so a handle index is a stable identity.
-/// * `free` declares **death**: it drops the payload in place (the
-///   packet's path buffer and RNG are reclaimed immediately) and bumps
-///   the slot generation, invalidating every outstanding handle.
-/// * `take`/`put` move the payload without declaring death — the
-///   sharded engine's cross-shard handoff — and leave the generation
-///   untouched, so handles stay valid across a migration.
-///
-/// Accessing a freed slot through a stale handle returns `None`; the
-/// simulator reports that as a typed `stale_handle` violation rather
-/// than panicking (or worse, acting on a resurrected packet).
-pub struct Slab<T> {
-    slots: Vec<Slot<T>>,
-}
-
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self { slots: Vec::new() }
-    }
-}
-
-impl<T> Slab<T> {
-    /// An empty slab.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of slots ever created (live + freed).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no slot was ever created.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Appends a value, returning its handle. The index equals the
-    /// number of slots created before it — dense and stable.
-    pub fn insert(&mut self, val: T) -> SlabHandle {
-        let idx = u32::try_from(self.slots.len()).expect("slab capacity");
-        self.slots.push(Slot { gen: 0, val: Some(val) });
-        SlabHandle { idx, gen: 0 }
-    }
-
-    /// Extends the slab with empty slots up to `len` (the sharded
-    /// engine mirrors globally-assigned indices into per-shard slabs).
-    pub fn ensure_len(&mut self, len: usize) {
-        while self.slots.len() < len {
-            self.slots.push(Slot { gen: 0, val: None });
-        }
-    }
-
-    /// The current-generation handle for a raw index, if the slot holds
-    /// a value.
-    #[must_use]
-    pub fn handle_at(&self, idx: usize) -> Option<SlabHandle> {
-        let slot = self.slots.get(idx)?;
-        slot.val.as_ref()?;
-        Some(SlabHandle {
-            idx: u32::try_from(idx).expect("slab capacity"),
-            gen: slot.gen,
-        })
-    }
-
-    /// Resolves a handle; `None` if the slot was freed (any stale
-    /// generation) or its payload is mid-migration.
-    #[must_use]
-    pub fn get(&self, h: SlabHandle) -> Option<&T> {
-        let slot = self.slots.get(h.index())?;
-        if slot.gen != h.gen {
-            return None;
-        }
-        slot.val.as_ref()
-    }
-
-    /// Mutable [`Slab::get`].
-    pub fn get_mut(&mut self, h: SlabHandle) -> Option<&mut T> {
-        let slot = self.slots.get_mut(h.index())?;
-        if slot.gen != h.gen {
-            return None;
-        }
-        slot.val.as_mut()
-    }
-
-    /// Resolves a raw index against the *current* generation — the
-    /// simulator's event payloads carry bare indices (they double as
-    /// `pkey`), and an index is unambiguous because slots are never
-    /// recycled. `None` means the packet already died.
-    #[must_use]
-    pub fn get_idx(&self, idx: usize) -> Option<&T> {
-        self.slots.get(idx)?.val.as_ref()
-    }
-
-    /// Mutable [`Slab::get_idx`].
-    pub fn get_idx_mut(&mut self, idx: usize) -> Option<&mut T> {
-        self.slots.get_mut(idx)?.val.as_mut()
-    }
-
-    /// Declares the slot dead: drops the payload in place, bumps the
-    /// generation (invalidating all outstanding handles) and returns
-    /// the value. `None` if it was already freed or never filled.
-    pub fn free_idx(&mut self, idx: usize) -> Option<T> {
-        let slot = self.slots.get_mut(idx)?;
-        let val = slot.val.take()?;
-        // Wrapping: at u32::MAX the counter rolls over rather than
-        // panicking. Slots are never refilled after death, so a rolled
-        // generation can still never falsely match a live payload.
-        slot.gen = slot.gen.wrapping_add(1);
-        Some(val)
-    }
-
-    /// Handle-checked [`Slab::free_idx`]: a stale handle frees nothing.
-    pub fn free(&mut self, h: SlabHandle) -> Option<T> {
-        let slot = self.slots.get_mut(h.index())?;
-        if slot.gen != h.gen {
-            return None;
-        }
-        let val = slot.val.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        Some(val)
-    }
-
-    /// The slot's current generation counter, if the slot exists.
-    /// Snapshot/restore and the wraparound tests need the raw counter;
-    /// normal callers go through [`SlabHandle`]s.
-    #[must_use]
-    pub fn generation_of(&self, idx: usize) -> Option<u32> {
-        self.slots.get(idx).map(|s| s.gen)
-    }
-
-    /// Overwrites the slot's generation counter (checkpoint restore and
-    /// wraparound tests). The slot must already exist.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of bounds.
-    pub fn set_generation(&mut self, idx: usize, gen: u32) {
-        self.slots[idx].gen = gen;
-    }
-
-    /// Moves the payload out *without* declaring death (generation
-    /// unchanged) — one side of a cross-shard handoff.
-    pub fn take_idx(&mut self, idx: usize) -> Option<T> {
-        self.slots.get_mut(idx)?.val.take()
-    }
-
-    /// Re-seats a payload moved by [`Slab::take_idx`]. Panics if the
-    /// slot is occupied (two packets may never share an identity).
-    pub fn put_idx(&mut self, idx: usize, val: T) {
-        self.ensure_len(idx + 1);
-        let slot = &mut self.slots[idx];
-        assert!(slot.val.is_none(), "slab slot {idx} already occupied");
-        slot.val = Some(val);
-    }
-
-    /// Iterates live entries as `(index, &value)`.
-    pub fn iter_live(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.val.as_ref().map(|v| (i, v)))
-    }
-
-    /// Iterates live entries as `(index, &mut value)`.
-    pub fn iter_live_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.val.as_mut().map(|v| (i, v)))
-    }
-
-    /// Number of live (filled) slots.
-    #[must_use]
-    pub fn live_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.val.is_some()).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(5), EventKind::Inject { pkt: 0 });
         q.push(SimTime(1), EventKind::Inject { pkt: 1 });
         q.push(SimTime(3), EventKind::Inject { pkt: 2 });
@@ -611,7 +375,7 @@ mod tests {
 
     #[test]
     fn ties_break_by_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(7), EventKind::Inject { pkt: 10 });
         q.push(SimTime(7), EventKind::Inject { pkt: 20 });
         q.push(SimTime(7), EventKind::Inject { pkt: 30 });
@@ -630,7 +394,7 @@ mod tests {
 
     #[test]
     fn extract_claims_matching_events_in_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(9), EventKind::Arrive { pkt: 0, node: 7, from: 3 });
         q.push(SimTime(2), EventKind::Arrive { pkt: 1, node: 5, from: 7 });
         q.push(SimTime(4), EventKind::Arrive { pkt: 2, node: 7, from: 6 });
@@ -655,7 +419,7 @@ mod tests {
         // Same cycle, inserted in scrambled order: faults first (in
         // schedule order), then the watchdog, then packet events by
         // handle — regardless of insertion sequence.
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(4), EventKind::Inject { pkt: 9 });
         q.push(SimTime(4), EventKind::Watchdog);
         q.push(
@@ -674,7 +438,7 @@ mod tests {
 
     #[test]
     fn next_time_peeks_without_popping() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         assert_eq!(q.next_time(), None);
         q.push(SimTime(9), EventKind::Inject { pkt: 0 });
         q.push(SimTime(3), EventKind::Inject { pkt: 1 });
@@ -684,7 +448,7 @@ mod tests {
 
     #[test]
     fn len_tracks() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         assert!(q.is_empty());
         q.push(SimTime(0), EventKind::Inject { pkt: 0 });
         assert_eq!(q.len(), 1);
@@ -727,7 +491,7 @@ mod tests {
 
     #[test]
     fn same_cycle_push_during_drain_keeps_canonical_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(5), EventKind::Inject { pkt: 2 });
         q.push(SimTime(5), EventKind::Inject { pkt: 8 });
         assert_eq!(q.pop().unwrap().canonical_key().2, 2);
@@ -742,7 +506,7 @@ mod tests {
 
     #[test]
     fn push_at_just_drained_cycle_is_not_lost() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(3), EventKind::Inject { pkt: 0 });
         assert_eq!(q.pop().unwrap().time.0, 3);
         assert!(q.is_empty());
@@ -755,7 +519,7 @@ mod tests {
 
     #[test]
     fn pop_before_respects_the_window_edge() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::with_horizon(64);
         q.push(SimTime(4), EventKind::Inject { pkt: 0 });
         q.push(SimTime(9), EventKind::Inject { pkt: 1 });
         assert_eq!(q.pop_before(9).unwrap().time.0, 4);
@@ -781,61 +545,6 @@ mod tests {
         // The survivor (pkt 1 at the active cycle) still pops.
         assert_eq!(q.pop().unwrap().canonical_key().2, 1);
         assert!(q.is_empty());
-    }
-
-    // ---- Slab ----
-
-    #[test]
-    fn slab_insert_get_free_round_trip() {
-        let mut s = Slab::new();
-        let a = s.insert("alpha");
-        let b = s.insert("beta");
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
-        assert_eq!(s.get(a), Some(&"alpha"));
-        assert_eq!(s.get_idx(1), Some(&"beta"));
-        assert_eq!(s.free(a), Some("alpha"));
-        assert_eq!(s.live_count(), 1);
-        let live: Vec<usize> = s.iter_live().map(|(i, _)| i).collect();
-        assert_eq!(live, vec![1]);
-    }
-
-    #[test]
-    fn stale_handle_does_not_resurrect_a_freed_slot() {
-        let mut s = Slab::new();
-        let h = s.insert(42u32);
-        assert_eq!(s.free_idx(h.index()), Some(42));
-        // The handle minted before the death no longer resolves —
-        // generation mismatch, not a panic, and never a stale value.
-        assert_eq!(s.get(h), None);
-        assert_eq!(s.get_mut(h), None);
-        assert_eq!(s.free(h), None, "double-free through a stale handle is a no-op");
-        assert_eq!(s.get_idx(h.index()), None);
-        assert_eq!(s.handle_at(h.index()), None);
-    }
-
-    #[test]
-    fn generation_distinguishes_death_from_migration() {
-        let mut s = Slab::new();
-        let h = s.insert(7u8);
-        // Cross-shard handoff: take + put leave the generation alone,
-        // so the handle stays valid across the migration.
-        let v = s.take_idx(h.index()).unwrap();
-        assert_eq!(s.get(h), None, "mid-migration slot is empty");
-        s.put_idx(h.index(), v);
-        assert_eq!(s.get(h), Some(&7), "same handle resolves after re-seat");
-        // Death bumps the generation: the same slot index with a fresh
-        // lookup now reports gone.
-        s.free(h).unwrap();
-        assert_eq!(s.get(h), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "already occupied")]
-    fn put_into_an_occupied_slot_panics() {
-        let mut s = Slab::new();
-        let h = s.insert(1u8);
-        s.put_idx(h.index(), 2u8);
     }
 
     #[test]
@@ -865,48 +574,5 @@ mod tests {
         let a: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.canonical_key()).collect();
         let b: Vec<_> = std::iter::from_fn(|| r.pop()).map(|e| e.canonical_key()).collect();
         assert_eq!(a, b, "restored queue drains identically");
-    }
-
-    #[test]
-    fn generation_wraps_at_max_without_panic_or_false_match() {
-        let mut s = Slab::new();
-        let h = s.insert("payload");
-        s.set_generation(h.index(), u32::MAX);
-        // The pre-bump handle (gen 0) is already stale against MAX.
-        assert_eq!(s.get(h), None);
-        let live = s.handle_at(h.index()).expect("slot is live");
-        assert_eq!(live.generation(), u32::MAX);
-        assert_eq!(s.get(live), Some(&"payload"));
-        // Freeing at the counter's edge wraps to 0 instead of panicking.
-        assert_eq!(s.free(live), Some("payload"));
-        assert_eq!(s.generation_of(h.index()), Some(0));
-        // Neither the max-generation handle nor the wrapped-to-zero
-        // original can resurrect the slot: the payload is gone.
-        assert_eq!(s.get(live), None);
-        assert_eq!(s.get(h), None, "gen matches but the value is dead");
-        assert_eq!(s.free(h), None);
-        assert_eq!(s.get_idx(h.index()), None);
-    }
-
-    #[test]
-    fn free_idx_wraps_generation_at_max() {
-        let mut s = Slab::new();
-        let h = s.insert(1u8);
-        s.set_generation(h.index(), u32::MAX);
-        assert_eq!(s.free_idx(h.index()), Some(1));
-        assert_eq!(s.generation_of(h.index()), Some(0), "wrapped, not panicked");
-        assert_eq!(s.handle_at(h.index()), None);
-    }
-
-    #[test]
-    fn ensure_len_mirrors_sparse_indices() {
-        let mut s: Slab<u8> = Slab::new();
-        s.ensure_len(4);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.live_count(), 0);
-        s.put_idx(6, 9); // auto-extends
-        assert_eq!(s.len(), 7);
-        assert_eq!(s.get_idx(6), Some(&9));
-        assert_eq!(s.handle_at(6).map(SlabHandle::generation), Some(0));
     }
 }

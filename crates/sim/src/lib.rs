@@ -26,9 +26,9 @@
 //! a packet's random decisions are independent of how other packets'
 //! events interleave, and the event queue orders same-cycle events by a
 //! canonical `(time, rank, packet, seq)` key rather than raw insertion
-//! order. Together these make the serial engine and the sharded engine
-//! (`ddpm-engine`, selected via [`config::Engine`]) produce bit-identical
-//! results.
+//! order. Together these make a run paused at any event boundary
+//! ([`Simulation::run_until`]), snapshotted and resumed elsewhere
+//! bit-identical to the uninterrupted run.
 
 #![warn(missing_docs)]
 
@@ -46,7 +46,7 @@ pub mod time;
 pub mod watchdog;
 
 pub use adversary::{AdversaryBehavior, AdversarySpec, AdversaryState};
-pub use config::{CheckpointConfig, Engine, RetryPolicy, SimConfig, SimConfigBuilder};
+pub use config::{CheckpointConfig, RetryPolicy, SimConfig, SimConfigBuilder};
 pub use filter::{Filter, NoFilter};
 pub use invariant::{InvariantChecker, InvariantConfig, Violation};
 pub use mark::{MarkEnv, Marker, NoMarking};

@@ -341,8 +341,8 @@ impl MarkingScheme for crate::mark::NoMarking {
 
 /// The data-only scheme selector: which traceback scheme a run uses.
 ///
-/// Mirrors [`crate::Engine`]'s parse/display discipline so scenario
-/// files and CLI flags share one spelling set. The concrete scheme
+/// One parse/display spelling set shared by scenario files and CLI
+/// flags. The concrete scheme
 /// objects are built from this in `ddpm-core` (`scheme::build_scheme`),
 /// which owns the per-topology feasibility checks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

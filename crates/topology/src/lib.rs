@@ -32,7 +32,6 @@ pub mod graph;
 pub mod gray;
 pub mod hypercube;
 pub mod mesh;
-pub mod partition;
 pub mod topology;
 pub mod torus;
 
@@ -42,6 +41,5 @@ pub use faults::{ChurnConfig, FaultEvent, FaultSchedule, FaultSet};
 pub use graph::{bfs_distances, connected_component_size, diameter_by_bfs, DistanceOracle};
 pub use hypercube::Hypercube;
 pub use mesh::Mesh;
-pub use partition::{Partition, PartitionStrategy};
 pub use topology::{NodeId, Topology, TopologyError, TopologyKind};
 pub use torus::Torus;
