@@ -58,7 +58,10 @@ fn run_sim(topo: &Topology, router: Router, tcfg: TelemetryConfig) -> u64 {
         router,
         SelectionPolicy::ProductiveFirstRandom,
         &scheme,
-        SimConfig::seeded(42).to_builder().telemetry(tcfg).build(),
+        SimConfig {
+            telemetry: tcfg,
+            ..SimConfig::seeded(42)
+        },
     );
     let n = topo.num_nodes() as u32;
     for k in 0..PACKETS {

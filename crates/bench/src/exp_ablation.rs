@@ -90,10 +90,10 @@ fn buffer_sweep(t: &mut TextTable, ctx: &RunCtx) -> Vec<serde_json::Value> {
             Router::fully_adaptive_for(&topo),
             SelectionPolicy::ProductiveFirstRandom,
             &marker,
-            SimConfig::seeded(ctx.seed_or(5))
-                .to_builder()
-                .buffer_packets(buffer)
-                .build(),
+            SimConfig {
+                buffer_packets: buffer,
+                ..SimConfig::seeded(ctx.seed_or(5))
+            },
         );
         for (time, p) in workload {
             sim.schedule(time, p);

@@ -66,11 +66,11 @@ fn run(
         SelectionPolicy::ProductiveFirstRandom,
         marker,
         filter,
-        SimConfig::seeded(seed)
-            .to_builder()
-            .buffer_packets(64)
-            .telemetry(tcfg)
-            .build(),
+        SimConfig {
+            buffer_packets: 64,
+            telemetry: tcfg,
+            ..SimConfig::seeded(seed)
+        },
     );
     for (t, p) in workload {
         sim.schedule(*t, *p);

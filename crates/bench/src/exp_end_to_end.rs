@@ -97,11 +97,11 @@ fn run_phase(
 ) -> PhaseOutcome {
     let faults = FaultSet::none();
     let router = Router::fully_adaptive_for(&sc.topo);
-    let cfg = SimConfig::seeded(sc.seed)
-        .to_builder()
-        .buffer_packets(64)
-        .telemetry(tcfg)
-        .build();
+    let cfg = SimConfig {
+        buffer_packets: 64,
+        telemetry: tcfg,
+        ..SimConfig::seeded(sc.seed)
+    };
     let default_q = SourceQuarantine::new();
     let q = quarantine.unwrap_or(&default_q);
     let mut sim = Simulation::with_filter(

@@ -63,10 +63,10 @@ fn run_cell(
         router,
         SelectionPolicy::Random,
         &scheme,
-        SimConfig::seeded(seed ^ 0xABCD)
-            .to_builder()
-            .telemetry(tcfg)
-            .build(),
+        SimConfig {
+            telemetry: tcfg,
+            ..SimConfig::seeded(seed ^ 0xABCD)
+        },
     );
     let n = topo.num_nodes() as u32;
     let victim = NodeId(n - 1);

@@ -103,17 +103,16 @@ fn run_once(
     let schedule = FaultSchedule::churn(topo, &churn, || rng.gen::<f64>());
     // Recording (not strict) so the whole sweep doubles as an invariant
     // audit: violations are tallied into the report instead of aborting.
-    let mut cfg = SimConfig::seeded(seed ^ 0x5EED)
-        .to_builder()
-        .invariants(InvariantConfig::recording())
-        .build();
-    if retries > 0 {
-        let backoff = cfg.service_cycles.max(1);
-        cfg = cfg
-            .to_builder()
-            .fault_tolerance(RetryPolicy::capped(retries, backoff, 256))
-            .build();
-    }
+    let base = SimConfig::seeded(seed ^ 0x5EED);
+    let cfg = SimConfig {
+        invariants: InvariantConfig::recording(),
+        retry: if retries > 0 {
+            RetryPolicy::capped(retries, base.service_cycles.max(1), 256)
+        } else {
+            RetryPolicy::OFF
+        },
+        ..base
+    };
     let faults = FaultSet::none();
     // Productive-first selection. Since PR 3 `SelectionPolicy::Random`
     // self-upgrades to productive-first on turn-model routers (see

@@ -23,8 +23,9 @@
 //! logic stays debug-testable; the full Table 3 maxima run under
 //! `report -- scale` in release. Rows land in
 //! `BENCH_sim_throughput.json` tagged `"suite": "scale"` (merged — the
-//! criterion bench's rows survive, and vice versa), and the payload
-//! goes to `results/scale.json` via `report -- --json results scale`.
+//! criterion bench's rows survive, and vice versa; `--quick` rows go
+//! to the copy under `target/` instead), and the payload goes to
+//! `results/scale.json` via `report -- --json results scale`.
 
 use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable};
 use ddpm_attack::PacketFactory;
@@ -37,7 +38,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::collections::BTreeSet;
-use std::path::Path;
 use std::time::Instant;
 
 /// Zombies per fabric — spread across the node space by stride.
@@ -237,10 +237,8 @@ pub fn run(ctx: &RunCtx) -> Report {
         },
     ));
 
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let bench_path = manifest.join("../../BENCH_sim_throughput.json");
     if let Err(e) = merge_bench_rows(
-        &bench_path,
+        &ctx.bench_rows_path(),
         "sim_throughput",
         &|r| r["suite"].as_str() == Some("scale"),
         bench_rows,

@@ -23,14 +23,14 @@
 //!
 //! Rows also land in `BENCH_sim_throughput.json` as `engine:
 //! "serve-<N>t"` entries (merged, so the criterion bench's rows
-//! survive), and the full payload goes to `results/service_load.json`
-//! via `report -- --json results service-load`.
+//! survive; `--quick` rows go to the copy under `target/` instead),
+//! and the full payload goes to `results/service_load.json` via
+//! `report -- --json results service-load`.
 
 use crate::util::{fnum, merge_bench_rows, Report, RunCtx, TextTable};
 use ddpm_serve::{ServeClient, Server, ServerConfig};
 use serde_json::{json, Value};
 use std::net::TcpListener;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -253,9 +253,8 @@ pub fn run(ctx: &RunCtx) -> Report {
 
     // Merge the serve-* rows into the shared throughput bench document
     // (the criterion bench's sim rows survive, and vice versa).
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim_throughput.json");
     if let Err(e) = merge_bench_rows(
-        Path::new(bench_path),
+        &ctx.bench_rows_path(),
         "sim_throughput",
         &|r| {
             r["engine"]

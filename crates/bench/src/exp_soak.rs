@@ -7,12 +7,16 @@
 //! space under a wall-clock budget with the watchdog armed and the
 //! invariant checker recording.
 //!
-//! Every fuzz case is a pure function of its seed (a [`SoakCase`]), so
-//! a violation is never a heisenbug: the harness snapshots the case,
-//! the violation, the trailing lifecycle events and the fault schedule
-//! into an on-disk **repro bundle** (`ddpm-repro-bundle/2`), and
-//! `report -- replay <bundle>` re-runs it and confirms the identical
-//! violation — same cycle, same packet, same invariant.
+//! Every fuzz case is a scenario (the JSON language of `scenarios/`),
+//! drawn as a pure function of its seed: the churn sampler's output is
+//! its explicit `fault_schedule`. A case runs through the same
+//! fail-closed loader and [`ScenarioWorld`] as every other scenario,
+//! so a violation is never a heisenbug: the harness writes the
+//! scenario, the violation and the trailing lifecycle events into an
+//! on-disk **repro bundle** (`ddpm-repro-bundle/3`), and
+//! `report -- replay <bundle>` re-parses the scenario, re-runs it and
+//! confirms the identical violation — same cycle, same packet, same
+//! invariant.
 //!
 //! ```text
 //! cargo run --release -p ddpm-bench --bin report -- --soak-secs 60 soak
@@ -20,250 +24,27 @@
 //! ```
 
 use crate::util::{fnum, Report, RunCtx};
-use ddpm_attack::{AdversaryModel, PacketFactory};
-use ddpm_core::build_scheme;
-use ddpm_net::{AddrMap, L4};
-use ddpm_routing::{Router, SelectionPolicy};
-use ddpm_serve::scenario::{RouterSpec, TopologySpec};
-use ddpm_sim::{
-    AdversaryBehavior, AdversarySpec, InvariantConfig, Marker, RetryPolicy, SchemeSpec,
-    SimConfig, SimStats, SimTime, Simulation, Violation, WatchdogConfig,
-};
+use ddpm_serve::scenario::{fault_event_json, ScenarioConfig, TopologySpec};
+use ddpm_serve::ScenarioWorld;
+use ddpm_sim::{AdversaryBehavior, SimStats, Violation};
 use ddpm_telemetry::PacketEvent;
-use ddpm_topology::{ChurnConfig, FaultEvent, FaultSchedule, FaultSet, NodeId};
+use ddpm_topology::{ChurnConfig, FaultSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{json, Error as JsonError, FromJson, Value};
+use serde_json::{json, FromJson, Value};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Bundle schema tag; bump on any incompatible layout change.
-pub const BUNDLE_SCHEMA: &str = "ddpm-repro-bundle/2";
+pub const BUNDLE_SCHEMA: &str = "ddpm-repro-bundle/3";
 
-/// One fully-determined fuzz case: everything a run needs, so the same
-/// case always produces the same events, the same drops and (if any)
-/// the same violation.
-#[derive(Clone, Debug)]
-pub struct SoakCase {
-    /// Cluster under test.
-    pub topology: TopologySpec,
-    /// Routing algorithm.
-    pub router: RouterSpec,
-    /// Output-port selection policy.
-    pub policy: SelectionPolicy,
-    /// Seed for churn generation, workload and the simulator RNG.
-    pub seed: u64,
-    /// Benign packets injected.
-    pub packets: u64,
-    /// Injection cadence in cycles.
-    pub inject_every: u64,
-    /// Churn: how often the fail/repair sampler runs, in cycles.
-    pub churn_period: u64,
-    /// Churn: per-period link-failure probability.
-    pub link_rate: f64,
-    /// Churn: per-period switch-failure probability.
-    pub switch_rate: f64,
-    /// Churn: repair delay in cycles.
-    pub down_time: u64,
-    /// Marking scheme under test — the fuzzer alternates plain and
-    /// authenticated DDPM so the tag verify/seal path soaks too.
-    pub scheme: SchemeSpec,
-    /// Compromised marking plane, if any: switches × behavior × framed
-    /// node, all deterministic from the adversary seed.
-    pub adversary: Option<AdversarySpec>,
-    /// Injection/reroute retry budget (0 = fail fast).
-    pub retries: u32,
-    /// Watchdog sweep period in cycles.
-    pub check_period: u64,
-    /// Watchdog per-packet age bound.
-    pub max_age: u64,
-    /// Watchdog network-stall bound.
-    pub stall_cycles: u64,
-    /// Chaos self-test: inject one synthetic violation at this cycle
-    /// (exercises the violation → bundle → replay pipeline).
-    pub selftest_at: Option<u64>,
-}
-
-fn policy_name(p: SelectionPolicy) -> &'static str {
-    match p {
-        SelectionPolicy::First => "first",
-        SelectionPolicy::Random => "random",
-        SelectionPolicy::ProductiveFirstRandom => "productive_first_random",
-    }
-}
-
-fn policy_from(v: &Value) -> Result<SelectionPolicy, JsonError> {
-    match v.as_str() {
-        Some("first") => Ok(SelectionPolicy::First),
-        Some("random") => Ok(SelectionPolicy::Random),
-        Some("productive_first_random") => Ok(SelectionPolicy::ProductiveFirstRandom),
-        _ => Err(JsonError::msg(
-            "policy must be one of first, random, productive_first_random",
-        )),
-    }
-}
-
-fn router_name(r: RouterSpec) -> &'static str {
-    match r {
-        RouterSpec::DimensionOrder => "dimension_order",
-        RouterSpec::WestFirst => "west_first",
-        RouterSpec::NorthLast => "north_last",
-        RouterSpec::NegativeFirst => "negative_first",
-        RouterSpec::MinimalAdaptive => "minimal_adaptive",
-        RouterSpec::FullyAdaptive => "fully_adaptive",
-    }
-}
-
-fn topology_json(t: &TopologySpec) -> Value {
-    match t {
-        TopologySpec::Mesh { dims } => json!({"kind": "mesh", "dims": dims_json(dims)}),
-        TopologySpec::Torus { dims } => json!({"kind": "torus", "dims": dims_json(dims)}),
-        TopologySpec::Hypercube { n } => json!({"kind": "hypercube", "n": *n as u64}),
-    }
-}
-
-fn dims_json(dims: &[u16]) -> Value {
-    Value::Array(dims.iter().map(|&d| json!(u64::from(d))).collect())
-}
-
-fn adversary_json(a: &AdversarySpec) -> Value {
-    json!({
-        "switches": Value::Array(
-            a.switches.iter().map(|s| json!(u64::from(s.0))).collect()
-        ),
-        "behavior": a.behavior.as_str(),
-        "framed": a.framed.map_or(Value::Null, |f| json!(u64::from(f.0))),
-        "seed": a.seed,
-    })
-}
-
-fn adversary_from(v: Option<&Value>) -> Result<Option<AdversarySpec>, JsonError> {
-    let Some(a) = v.filter(|a| !matches!(a, Value::Null)) else {
-        return Ok(None);
-    };
-    let node = |x: &Value, what: &str| {
-        x.as_u64()
-            .and_then(|n| u32::try_from(n).ok())
-            .map(NodeId)
-            .ok_or_else(|| JsonError::msg(format!("adversary `{what}` must be a node id")))
-    };
-    let switches = a
-        .get("switches")
-        .and_then(Value::as_array)
-        .ok_or_else(|| JsonError::msg("adversary `switches` must be an array"))?
-        .iter()
-        .map(|s| node(s, "switches"))
-        .collect::<Result<Vec<_>, _>>()?;
-    let behavior = AdversaryBehavior::parse(
-        a.get("behavior")
-            .and_then(Value::as_str)
-            .ok_or_else(|| JsonError::msg("adversary `behavior` must be a string"))?,
-    )
-    .map_err(JsonError::msg)?;
-    let framed = match a.get("framed") {
-        None | Some(Value::Null) => None,
-        Some(x) => Some(node(x, "framed")?),
-    };
-    let seed = a
-        .get("seed")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| JsonError::msg("adversary `seed` must be a non-negative integer"))?;
-    Ok(Some(AdversarySpec::new(switches, behavior, framed, seed)))
-}
-
-impl SoakCase {
-    /// Serialises the case; `from_json` inverts this exactly.
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        json!({
-            "topology": topology_json(&self.topology),
-            "router": router_name(self.router),
-            "policy": policy_name(self.policy),
-            "seed": self.seed,
-            "packets": self.packets,
-            "inject_every": self.inject_every,
-            "churn": {
-                "period": self.churn_period,
-                "link_rate": self.link_rate,
-                "switch_rate": self.switch_rate,
-                "down_time": self.down_time,
-            },
-            "scheme": self.scheme.as_str(),
-            "adversary": self.adversary.as_ref().map_or(Value::Null, adversary_json),
-            "retries": u64::from(self.retries),
-            "watchdog": {
-                "check_period": self.check_period,
-                "max_age": self.max_age,
-                "stall_cycles": self.stall_cycles,
-            },
-            "selftest_at": self.selftest_at.map_or(Value::Null, |c| json!(c)),
-        })
-    }
-}
-
-impl FromJson for SoakCase {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let get = |key: &str| {
-            v.get(key)
-                .ok_or_else(|| JsonError::msg(format!("missing field `{key}`")))
-        };
-        let num = |key: &str| {
-            get(key)?
-                .as_u64()
-                .ok_or_else(|| JsonError::msg(format!("`{key}` must be a non-negative integer")))
-        };
-        let churn = get("churn")?;
-        let wd = get("watchdog")?;
-        let sub = |obj: &Value, key: &str| {
-            obj.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| JsonError::msg(format!("`{key}` must be a non-negative integer")))
-        };
-        let rate = |key: &str| {
-            churn
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| JsonError::msg(format!("churn `{key}` must be a number")))
-        };
-        let scheme = SchemeSpec::parse(
-            get("scheme")?
-                .as_str()
-                .ok_or_else(|| JsonError::msg("`scheme` must be a string"))?,
-        )
-        .map_err(JsonError::msg)?;
-        let selftest_at = match v.get("selftest_at") {
-            None | Some(Value::Null) => None,
-            Some(x) => Some(
-                x.as_u64()
-                    .ok_or_else(|| JsonError::msg("`selftest_at` must be a cycle number"))?,
-            ),
-        };
-        Ok(Self {
-            topology: TopologySpec::from_json(get("topology")?)?,
-            router: RouterSpec::from_json(get("router")?)?,
-            policy: policy_from(get("policy")?)?,
-            seed: num("seed")?,
-            packets: num("packets")?,
-            inject_every: num("inject_every")?,
-            churn_period: sub(churn, "period")?,
-            link_rate: rate("link_rate")?,
-            switch_rate: rate("switch_rate")?,
-            down_time: sub(churn, "down_time")?,
-            scheme,
-            adversary: adversary_from(v.get("adversary"))?,
-            retries: u32::try_from(num("retries")?)
-                .map_err(|_| JsonError::msg("`retries` does not fit in u32"))?,
-            check_period: sub(wd, "check_period")?,
-            max_age: sub(wd, "max_age")?,
-            stall_cycles: sub(wd, "stall_cycles")?,
-            selftest_at,
-        })
-    }
-}
+/// Cycles between benign injections, network-wide: a case injects
+/// about `horizon / INJECT_EVERY` packets whatever its node count.
+const INJECT_EVERY: u64 = 3;
 
 /// Everything one case run yields: the run statistics, the recorded
-/// violations (empty when healthy), the checker's trace tail and the
-/// generated fault schedule — the last two feed the repro bundle.
+/// violations (empty when healthy) and the checker's trace tail — the
+/// last two feed the repro bundle.
 #[derive(Debug)]
 pub struct CaseOutcome {
     /// Run statistics (watchdog counters included).
@@ -272,101 +53,36 @@ pub struct CaseOutcome {
     pub violations: Vec<Violation>,
     /// Trailing lifecycle events at end of run.
     pub tail: Vec<PacketEvent>,
-    /// The churn schedule the case generated (for the bundle).
-    pub schedule: Vec<(u64, FaultEvent)>,
 }
 
-/// Runs one case to completion. Deterministic: the same case always
-/// returns the same outcome.
+/// Loads one case — a scenario JSON value — through the scenario
+/// loader and runs it to completion. Deterministic: the same scenario
+/// always returns the same outcome.
 ///
 /// # Errors
-/// Human-readable message when the case is malformed (topology too
-/// large for the scheme's MF budget, adversary spec out of range).
-pub fn run_case(case: &SoakCase) -> Result<CaseOutcome, String> {
-    let topo = case.topology.build();
-    let n = topo.num_nodes() as u32;
-    let router = case.router.build(&topo);
-    let scheme = build_scheme(case.scheme, &topo)
-        .map_err(|e| format!("{}: {e}", case.scheme.as_str()))?;
-    let evil = match &case.adversary {
-        Some(spec) => Some(
-            AdversaryModel::new(&*scheme, case.scheme, &topo, spec.clone(), None)
-                .map_err(|e| format!("adversary: {e}"))?,
-        ),
-        None => None,
-    };
-    let marker: &dyn Marker = match &evil {
-        Some(e) => e,
-        None => &*scheme,
-    };
-    let mut rng = SmallRng::seed_from_u64(case.seed);
-    let churn = ChurnConfig {
-        horizon: case.packets * case.inject_every,
-        period: case.churn_period,
-        link_rate: case.link_rate,
-        switch_rate: case.switch_rate,
-        down_time: case.down_time,
-    };
-    let schedule = FaultSchedule::churn(&topo, &churn, || rng.gen::<f64>());
-    let mut builder = SimConfig::builder()
-        .seed(case.seed ^ 0x50AC)
-        .watchdog(WatchdogConfig {
-            check_period: case.check_period,
-            max_age: case.max_age,
-            stall_cycles: case.stall_cycles,
-            escape: Some(Router::DimensionOrder),
-        })
-        .invariants(InvariantConfig {
-            selftest_at: case.selftest_at,
-            ..InvariantConfig::recording()
-        });
-    if case.retries > 0 {
-        builder = builder.fault_tolerance(RetryPolicy::capped(case.retries, 4, 256));
-    }
-    let faults = FaultSet::none();
-    let mut sim = Simulation::new(&topo, &faults, router, case.policy, marker, builder.build());
-    sim.schedule_faults(&schedule);
-    let map = AddrMap::for_topology(&topo);
-    let mut factory = PacketFactory::new(map);
-    for k in 0..case.packets {
-        let src = NodeId(rng.gen_range(0..n));
-        let mut dst = NodeId(rng.gen_range(0..n));
-        while dst == src {
-            dst = NodeId(rng.gen_range(0..n));
-        }
-        sim.schedule(
-            SimTime(k * case.inject_every),
-            factory.benign(src, dst, L4::udp(9, 9), 64),
-        );
-    }
-    let stats = sim.run();
+/// The loader's message for a malformed scenario (unknown keys
+/// included), or the world's for an infeasible one (topology too large
+/// for the scheme's MF budget, adversary spec out of range).
+pub fn run_case(scenario: &Value) -> Result<CaseOutcome, String> {
+    let cfg = ScenarioConfig::from_json(scenario).map_err(|e| format!("scenario: {e}"))?;
+    let mut world = ScenarioWorld::build(&cfg, None, None)?;
+    world.run_to_completion()?;
+    let sim = world.sim();
     Ok(CaseOutcome {
-        stats,
+        stats: *sim.stats(),
         violations: sim.violations().to_vec(),
         tail: sim.trace_tail(),
-        schedule: schedule.iter().collect(),
     })
-}
-
-fn fault_event_json(at: u64, ev: FaultEvent) -> Value {
-    match ev {
-        FaultEvent::LinkDown { a, b } => {
-            json!({"at": at, "kind": "link_down", "a": a.0, "b": b.0})
-        }
-        FaultEvent::LinkUp { a, b } => json!({"at": at, "kind": "link_up", "a": a.0, "b": b.0}),
-        FaultEvent::SwitchDown { node } => json!({"at": at, "kind": "switch_down", "node": node.0}),
-        FaultEvent::SwitchUp { node } => json!({"at": at, "kind": "switch_up", "node": node.0}),
-    }
 }
 
 /// Renders the repro bundle for a failed case (first violation wins —
 /// later ones are usually cascade noise from the same root cause).
 #[must_use]
-pub fn bundle_json(case: &SoakCase, out: &CaseOutcome) -> Value {
+pub fn bundle_json(scenario: &Value, out: &CaseOutcome) -> Value {
     let v = out.violations.first().expect("bundle needs a violation");
     json!({
         "schema": BUNDLE_SCHEMA,
-        "case": case.to_json(),
+        "scenario": scenario.clone(),
         "violation": {
             "cycle": v.cycle,
             "pkt": v.pkt,
@@ -378,9 +94,6 @@ pub fn bundle_json(case: &SoakCase, out: &CaseOutcome) -> Value {
         "trace_tail": Value::Array(
             out.tail.iter().map(|e| Value::String(e.to_ndjson())).collect()
         ),
-        "fault_schedule": Value::Array(
-            out.schedule.iter().map(|&(at, ev)| fault_event_json(at, ev)).collect()
-        ),
     })
 }
 
@@ -388,9 +101,10 @@ pub fn bundle_json(case: &SoakCase, out: &CaseOutcome) -> Value {
 ///
 /// # Errors
 /// I/O or serialisation failures, as human-readable text.
-pub fn write_bundle(dir: &Path, case: &SoakCase, out: &CaseOutcome) -> Result<PathBuf, String> {
-    let path = dir.join(format!("bundle-{:#x}.json", case.seed));
-    crate::util::write_json(&path, &bundle_json(case, out))?;
+pub fn write_bundle(dir: &Path, scenario: &Value, out: &CaseOutcome) -> Result<PathBuf, String> {
+    let seed = scenario["seed"].as_u64().unwrap_or(0);
+    let path = dir.join(format!("bundle-{seed:#x}.json"));
+    crate::util::write_json(&path, &bundle_json(scenario, out))?;
     Ok(path)
 }
 
@@ -399,7 +113,8 @@ pub fn write_bundle(dir: &Path, case: &SoakCase, out: &CaseOutcome) -> Result<Pa
 /// carries `reproduced: bool`; the driver exits non-zero on `false`.
 ///
 /// # Errors
-/// Unreadable/of-the-wrong-schema bundles, or a case that fails to run.
+/// Unreadable/of-the-wrong-schema bundles, a scenario the loader
+/// refuses, or a case that fails to run.
 pub fn replay(path: &Path) -> Result<Report, String> {
     let raw = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -410,12 +125,9 @@ pub fn replay(path: &Path) -> Result<Report, String> {
         Some(other) => return Err(format!("unsupported bundle schema `{other}`")),
         None => return Err(format!("{}: missing `schema` tag", path.display())),
     }
-    let case = SoakCase::from_json(
-        bundle
-            .get("case")
-            .ok_or_else(|| format!("{}: missing `case`", path.display()))?,
-    )
-    .map_err(|e| format!("{}: bad case: {e}", path.display()))?;
+    let scenario = bundle
+        .get("scenario")
+        .ok_or_else(|| format!("{}: missing `scenario`", path.display()))?;
     let want = bundle
         .get("violation")
         .ok_or_else(|| format!("{}: missing `violation`", path.display()))?;
@@ -427,7 +139,7 @@ pub fn replay(path: &Path) -> Result<Report, String> {
             .unwrap_or("")
             .to_string(),
     );
-    let out = run_case(&case)?;
+    let out = run_case(scenario).map_err(|e| format!("{}: {e}", path.display()))?;
     let got = out.violations.first();
     let got_id = got.map(|v| (v.cycle, v.pkt, v.invariant.to_string()));
     let reproduced = got_id.as_ref() == Some(&want_id);
@@ -448,8 +160,8 @@ pub fn replay(path: &Path) -> Result<Report, String> {
     let body = format!(
         "bundle : {}\ncase   : seed {:#x}, {} packets\nverdict: {verdict}\n",
         path.display(),
-        case.seed,
-        case.packets,
+        scenario["seed"].as_u64().unwrap_or(0),
+        out.stats.total().injected,
     );
     Ok(Report {
         key: "replay",
@@ -468,80 +180,93 @@ pub fn replay(path: &Path) -> Result<Report, String> {
     })
 }
 
-/// Draws the next fuzz case. Everything derives from `rng` (itself
-/// seeded from the soak's base seed) plus the per-case `seed`, so the
-/// whole soak is reproducible from `--seed`.
-fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> SoakCase {
-    let topology = match rng.gen_range(0..5u32) {
-        0 => TopologySpec::Mesh { dims: vec![4, 4] },
-        1 => TopologySpec::Mesh { dims: vec![8, 8] },
-        2 => TopologySpec::Torus { dims: vec![4, 4] },
-        3 => TopologySpec::Torus { dims: vec![8, 8] },
-        _ => TopologySpec::Hypercube { n: 4 },
+/// Draws the next fuzz case as a scenario. Everything derives from
+/// `rng` (itself seeded from the soak's base seed) plus the per-case
+/// `seed`, so the whole soak is reproducible from `--seed`.
+fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
+    let (topology, nodes, mesh2d) = match rng.gen_range(0..5u32) {
+        0 => (json!({"kind": "mesh", "dims": [4, 4]}), 16u64, true),
+        1 => (json!({"kind": "mesh", "dims": [8, 8]}), 64, true),
+        2 => (json!({"kind": "torus", "dims": [4, 4]}), 16, false),
+        3 => (json!({"kind": "torus", "dims": [8, 8]}), 64, false),
+        _ => (json!({"kind": "hypercube", "n": 4}), 16, false),
     };
-    let is_mesh2d = matches!(&topology, TopologySpec::Mesh { dims } if dims.len() == 2);
-    let router = match rng.gen_range(0..if is_mesh2d { 4u32 } else { 3u32 }) {
-        0 => RouterSpec::DimensionOrder,
-        1 => RouterSpec::MinimalAdaptive,
-        2 => RouterSpec::FullyAdaptive,
-        _ => RouterSpec::WestFirst,
+    let router = match rng.gen_range(0..if mesh2d { 4u32 } else { 3u32 }) {
+        0 => "dimension_order",
+        1 => "minimal_adaptive",
+        2 => "fully_adaptive",
+        _ => "west_first",
     };
-    let policy = match rng.gen_range(0..3u32) {
-        0 => SelectionPolicy::First,
-        1 => SelectionPolicy::Random,
-        _ => SelectionPolicy::ProductiveFirstRandom,
-    };
-    let nodes: u32 = match &topology {
-        TopologySpec::Mesh { dims } | TopologySpec::Torus { dims } => {
-            dims.iter().map(|&d| u32::from(d)).product()
-        }
-        TopologySpec::Hypercube { n } => 1 << *n,
-    };
+    let policy = ["first", "random", "productive_first_random"][rng.gen_range(0..3usize)];
     // The scheme axis: plain vs. authenticated DDPM, so the tag
     // verify/seal path (and its interaction with reroutes and parking)
     // soaks under the same churn as the plain path.
-    let scheme = if rng.gen_bool(0.5) {
-        SchemeSpec::Ddpm
-    } else {
-        SchemeSpec::AuthDdpm
-    };
+    let scheme = if rng.gen_bool(0.5) { "ddpm" } else { "auth-ddpm" };
     // The adversary axis: ~30% of cases compromise 1–2 switches with a
     // behavior drawn from the full grid. Framing behaviors pick an
     // innocent outside the compromised set.
+    let nodes32 = nodes as u32;
     let adversary = rng.gen_bool(0.3).then(|| {
         let behavior = AdversaryBehavior::ALL[rng.gen_range(0..AdversaryBehavior::ALL.len())];
         let count = rng.gen_range(1..=2u32);
-        let switches: Vec<NodeId> = (0..count).map(|_| NodeId(rng.gen_range(0..nodes))).collect();
+        let switches: Vec<u32> = (0..count).map(|_| rng.gen_range(0..nodes32)).collect();
         let framed = behavior.needs_framed().then(|| loop {
-            let f = NodeId(rng.gen_range(0..nodes));
+            let f = rng.gen_range(0..nodes32);
             if !switches.contains(&f) {
                 break f;
             }
         });
-        AdversarySpec::new(switches, behavior, framed, rng.gen())
+        json!({
+            "switches": switches,
+            "behavior": behavior.as_str(),
+            "framed": framed,
+            "seed": rng.gen::<u64>(),
+        })
     });
-    SoakCase {
-        topology,
-        router,
-        policy,
-        seed,
-        packets: if quick { 120 } else { 400 },
-        inject_every: 3,
-        churn_period: 200,
-        link_rate: [0.01, 0.03, 0.08][rng.gen_range(0..3usize)],
-        switch_rate: [0.003, 0.01, 0.02][rng.gen_range(0..3usize)],
+    let link_rate = [0.01, 0.03, 0.08][rng.gen_range(0..3usize)];
+    let switch_rate = [0.003, 0.01, 0.02][rng.gen_range(0..3usize)];
+    let retries: u64 = if rng.gen_bool(0.5) { 4 } else { 0 };
+    // The tight bound trips on healthy long-haul packets (transit
+    // under congestion runs past 96 cycles), so the soak exercises
+    // detection + escape on every few cases, not only on real bugs.
+    let max_age: u64 = [96, 512, 2048][rng.gen_range(0..3usize)];
+    let horizon = if quick { 120 } else { 400 } * INJECT_EVERY;
+    let topo = TopologySpec::from_json(&topology)
+        .expect("the soak draws valid topologies")
+        .build();
+    let mut churn_rng = SmallRng::seed_from_u64(seed);
+    let churn = ChurnConfig {
+        horizon,
+        period: 200,
+        link_rate,
+        switch_rate,
         down_time: 400,
-        scheme,
-        adversary,
-        retries: if rng.gen_bool(0.5) { 4 } else { 0 },
-        check_period: 64,
-        // The tight bound trips on healthy long-haul packets (transit
-        // under congestion runs past 96 cycles), so the soak exercises
-        // detection + escape on every few cases, not only on real bugs.
-        max_age: [96, 512, 2048][rng.gen_range(0..3usize)],
-        stall_cycles: 2048,
-        selftest_at: None,
-    }
+    };
+    let schedule = FaultSchedule::churn(&topo, &churn, || churn_rng.gen::<f64>());
+    json!({
+        "topology": topology,
+        "router": router,
+        "policy": policy,
+        "scheme": scheme,
+        "adversary": adversary,
+        "seed": seed,
+        // Every node injects on its own jittered clock, so the
+        // per-node interval scales with the node count.
+        "background_interval": nodes * INJECT_EVERY,
+        "horizon": horizon,
+        "fault_schedule": schedule
+            .iter()
+            .map(|(at, ev)| fault_event_json(at, ev))
+            .collect::<Vec<_>>(),
+        "fault_retries": retries,
+        "watchdog": {
+            "check_period": 64,
+            "max_age": max_age,
+            "stall_cycles": 2048,
+            "escape": "dor",
+        },
+        "invariants": true,
+    })
 }
 
 /// Runs the chaos soak for the wall-clock budget.
@@ -570,7 +295,8 @@ pub fn run(ctx: &RunCtx) -> Report {
     while cases == 0
         || (start.elapsed() < budget && !ddpm_checkpoint::interrupt::requested())
     {
-        let case = random_case(&mut rng, base.wrapping_add(cases), ctx.quick);
+        let seed = base.wrapping_add(cases);
+        let case = random_case(&mut rng, seed, ctx.quick);
         cases += 1;
         match run_case(&case) {
             Ok(out) => {
@@ -591,7 +317,7 @@ pub fn run(ctx: &RunCtx) -> Report {
                     }
                 }
             }
-            Err(e) => errors.push(format!("case {:#x}: {e}", case.seed)),
+            Err(e) => errors.push(format!("case {seed:#x}: {e}")),
         }
     }
     let elapsed = start.elapsed().as_secs_f64();
@@ -652,117 +378,76 @@ pub fn run(ctx: &RunCtx) -> Report {
 mod tests {
     use super::*;
 
-    fn tiny_case(seed: u64) -> SoakCase {
-        SoakCase {
-            topology: TopologySpec::Mesh { dims: vec![4, 4] },
-            router: RouterSpec::MinimalAdaptive,
-            policy: SelectionPolicy::Random,
-            seed,
-            packets: 80,
-            inject_every: 3,
-            churn_period: 100,
-            link_rate: 0.05,
-            switch_rate: 0.01,
-            down_time: 200,
-            scheme: SchemeSpec::Ddpm,
-            adversary: Some(AdversarySpec::new(
-                vec![NodeId(5)],
-                AdversaryBehavior::Skip,
-                None,
-                0x5EED,
-            )),
-            retries: 4,
-            check_period: 64,
-            max_age: 1024,
-            stall_cycles: 2048,
-            selftest_at: None,
+    fn tiny_case(seed: u64) -> Value {
+        json!({
+            "topology": {"kind": "mesh", "dims": [4, 4]},
+            "router": "minimal_adaptive",
+            "policy": "random",
+            "scheme": "ddpm",
+            "adversary": {"switches": [5], "behavior": "skip", "seed": 0x5EED},
+            "seed": seed,
+            "background_interval": 48,
+            "horizon": 240,
+            "fault_schedule": [
+                {"at": 100, "kind": "link_down", "a": 0, "b": 1},
+                {"at": 100, "kind": "switch_down", "node": 6},
+                {"at": 300, "kind": "link_up", "a": 0, "b": 1},
+                {"at": 300, "kind": "switch_up", "node": 6},
+            ],
+            "fault_retries": 4,
+            "watchdog": {"check_period": 64, "max_age": 1024, "stall_cycles": 2048},
+            "invariants": true,
+        })
+    }
+
+    fn with_selftest(mut case: Value, at: u64) -> Value {
+        if let Value::Object(m) = &mut case {
+            m.insert("invariants_selftest_at".to_string(), json!(at));
+        }
+        case
+    }
+
+    fn write_raw(tag: &str, bundle: &Value) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ddpm-soak-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("bundle.json");
+        std::fs::write(&p, serde_json::to_string(bundle).unwrap()).unwrap();
+        (dir, p)
+    }
+
+    #[test]
+    fn drawn_cases_load_through_the_scenario_loader() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        for k in 0..20 {
+            let case = random_case(&mut rng, k, true);
+            ScenarioConfig::from_json(&case).unwrap_or_else(|e| panic!("{case}: {e}"));
         }
     }
 
     #[test]
-    fn case_json_roundtrips() {
-        let case = tiny_case(0xABCD);
-        let back = SoakCase::from_json(&case.to_json()).expect("parses back");
-        assert_eq!(case.to_json(), back.to_json());
-        // And the optional fields survive as null.
-        let mut c2 = tiny_case(1);
-        c2.adversary = None;
-        c2.selftest_at = Some(9);
-        let b2 = SoakCase::from_json(&c2.to_json()).expect("parses back");
-        assert_eq!(c2.to_json(), b2.to_json());
-        // A framing adversary under the auth scheme round-trips whole.
-        let mut c3 = tiny_case(2);
-        c3.scheme = SchemeSpec::AuthDdpm;
-        c3.adversary = Some(AdversarySpec::new(
-            vec![NodeId(3), NodeId(9)],
-            AdversaryBehavior::Collude,
-            Some(NodeId(12)),
-            0xF00D,
-        ));
-        let b3 = SoakCase::from_json(&c3.to_json()).expect("parses back");
-        assert_eq!(c3.to_json(), b3.to_json());
-        // A bundle written while cases still carried an execution
-        // engine parses (the key is ignored) and replays.
-        let mut c4 = tiny_case(0xFA12);
-        c4.selftest_at = Some(50);
-        let out = run_case(&c4).expect("runs");
-        let engine = json!({"name": "sharded", "shards": 4u64});
-        let Value::Object(mut top) = bundle_json(&c4, &out) else {
-            panic!("bundle is a JSON object")
-        };
-        let Some(Value::Object(mut case)) = top.get("case").cloned() else {
-            panic!("bundle carries its case")
-        };
-        case.insert("engine".to_string(), engine.clone());
-        top.insert("case".to_string(), Value::Object(case));
-        top.insert("engine".to_string(), engine);
-        let bundle = Value::Object(top);
-        let b4 = SoakCase::from_json(&bundle["case"]).expect("engine key is ignored");
-        assert_eq!(c4.to_json(), b4.to_json());
-        let dir = std::env::temp_dir().join(format!("ddpm-soak-engine-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("bundle-engine.json");
-        std::fs::write(&p, serde_json::to_string(&bundle).unwrap()).unwrap();
-        let report = replay(&p).expect("replays");
-        assert_eq!(report.json["reproduced"], true, "{}", report.body);
-        std::fs::remove_dir_all(&dir).ok();
+    fn older_bundle_schemas_are_refused_by_their_tag() {
+        // `/1` and `/2` bundles carried a soak-private case schema; the
+        // `/3` bundle is a scenario, so older ones no longer replay.
+        for schema in ["ddpm-repro-bundle/1", "ddpm-repro-bundle/2"] {
+            let (dir, p) = write_raw("old", &json!({"schema": schema, "case": tiny_case(4)}));
+            let err = replay(&p).unwrap_err();
+            assert!(err.contains(&format!("unsupported bundle schema `{schema}`")), "{err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
-    fn schema_1_bundle_is_rejected() {
-        // Schema-1 cases carried no scheme and a bare `compromised`
-        // switch; they are no longer upgraded, so replay refuses the
-        // bundle by its schema tag and a scheme-less case fails to parse.
-        let case = json!({
-            "topology": {"kind": "mesh", "dims": [4u64, 4u64]},
-            "router": "minimal_adaptive",
-            "policy": "random",
-            "seed": 4u64,
-            "packets": 80u64,
-            "inject_every": 3u64,
-            "churn": {
-                "period": 100u64, "link_rate": 0.05,
-                "switch_rate": 0.01, "down_time": 200u64,
-            },
-            "compromised": 5u64,
-            "retries": 4u64,
-            "watchdog": {
-                "check_period": 64u64, "max_age": 1024u64, "stall_cycles": 2048u64,
-            },
-        });
-        let err = SoakCase::from_json(&case).unwrap_err().to_string();
-        assert!(err.contains("missing field `scheme`"), "{err}");
-
-        let dir = std::env::temp_dir().join(format!("ddpm-soak-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("bundle-v1.json");
-        let bundle = json!({"schema": "ddpm-repro-bundle/1", "case": case});
-        std::fs::write(&p, serde_json::to_string(&bundle).unwrap()).unwrap();
+    fn bundle_whose_scenario_has_an_unknown_key_is_refused() {
+        let case = with_selftest(tiny_case(0xFA12), 50);
+        let out = run_case(&case).expect("runs");
+        let Value::Object(mut scenario) = case else {
+            panic!("a case is a JSON object")
+        };
+        scenario.insert("engine".to_string(), json!("sharded"));
+        let bundle = bundle_json(&Value::Object(scenario), &out);
+        let (dir, p) = write_raw("unknown", &bundle);
         let err = replay(&p).unwrap_err();
-        assert!(
-            err.contains("unsupported bundle schema `ddpm-repro-bundle/1`"),
-            "{err}"
-        );
+        assert!(err.contains("unknown field `engine`"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -771,17 +456,17 @@ mod tests {
         let a = run_case(&tiny_case(7)).expect("runs");
         let b = run_case(&tiny_case(7)).expect("runs");
         assert!(a.violations.is_empty(), "{:?}", a.violations);
+        assert!(a.stats.faults.events_applied > 0, "the fault schedule applied");
         assert_eq!(a.stats.total().injected, b.stats.total().injected);
         assert_eq!(a.stats.total().delivered, b.stats.total().delivered);
-        assert_eq!(a.schedule, b.schedule);
+        assert_eq!(a.tail, b.tail);
     }
 
     #[test]
     fn bundle_replay_roundtrip_reproduces_the_violation() {
         // The chaos self-test stands in for a real bug: the violation
         // must survive the disk round-trip and replay byte-identically.
-        let mut case = tiny_case(0xFA11);
-        case.selftest_at = Some(50);
+        let case = with_selftest(tiny_case(0xFA11), 50);
         let out = run_case(&case).expect("runs");
         assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
         assert!(!out.tail.is_empty(), "tail captured");

@@ -48,6 +48,20 @@ impl RunCtx {
         }
     }
 
+    /// Where this run's `BENCH_sim_throughput.json` rows go: the
+    /// committed file at the workspace root for full runs, a copy under
+    /// `target/` for `--quick` runs (tests and smoke checks), so quick
+    /// numbers never replace committed ones.
+    #[must_use]
+    pub fn bench_rows_path(&self) -> PathBuf {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        if self.quick {
+            root.join("target/BENCH_sim_throughput.json")
+        } else {
+            root.join("BENCH_sim_throughput.json")
+        }
+    }
+
     /// `scaled` for `u32` workload knobs.
     #[must_use]
     pub fn scaled32(&self, n: u32) -> u32 {

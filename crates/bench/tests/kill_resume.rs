@@ -37,17 +37,6 @@ fn work_root() -> PathBuf {
     }
 }
 
-/// Deterministic per-case seed so the kill point is fuzzed across the
-/// grid but every run of the suite reproduces the same kill points.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn shipped_scenarios() -> Vec<(String, String)> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(scenarios_dir())
         .expect("scenarios dir")
@@ -99,9 +88,11 @@ fn kill_cell(tag: &str, raw: &str) -> Killed {
 
     // Seeded kill point: somewhere past the second checkpoint (so the
     // truncation case always has a fallback) but well before the run
-    // drains, fuzzed per scenario.
+    // drains, fuzzed per scenario by a hash of its name, so every run
+    // of the suite reproduces the same kill points.
     let every = (refcfg.horizon / 10).max(1);
-    let crash_at = 2 * every + 1 + fnv(tag) % (refcfg.horizon / 2).max(1);
+    let jitter = ddpm_checkpoint::fnv64(tag.as_bytes()) % (refcfg.horizon / 2).max(1);
+    let crash_at = 2 * every + 1 + jitter;
     let ckpt_dir = root.join("ckpt");
     let cfg_text = spliced(
         raw,

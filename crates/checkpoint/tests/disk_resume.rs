@@ -21,21 +21,21 @@ const NODES: u32 = 36;
 const PACKETS: u64 = 220;
 
 fn stress_cfg() -> SimConfig {
-    SimConfig::builder()
-        .seed(0xC0FFEE)
-        .buffer_packets(3)
-        .bit_error_rate(0.01)
-        .max_hops(48)
-        .record_paths(true)
-        .fault_tolerance(RetryPolicy::capped(3, 4, 64))
-        .watchdog(WatchdogConfig {
+    SimConfig {
+        buffer_packets: 3,
+        bit_error_rate: 0.01,
+        max_hops: 48,
+        record_paths: true,
+        retry: RetryPolicy::capped(3, 4, 64),
+        watchdog: Some(WatchdogConfig {
             check_period: 64,
             max_age: 512,
             stall_cycles: 4096,
             escape: Some(Router::DimensionOrder),
-        })
-        .invariants(InvariantConfig::recording())
-        .build()
+        }),
+        invariants: InvariantConfig::recording(),
+        ..SimConfig::seeded(0xC0FFEE)
+    }
 }
 
 fn churn(topo: &Topology) -> FaultSchedule {

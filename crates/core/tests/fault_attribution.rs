@@ -79,10 +79,10 @@ proptest! {
         let faults = FaultSet::none();
         let mut sim = Simulation::new(
             &topo, &faults, router, SelectionPolicy::Random, &scheme,
-            SimConfig::seeded(seed ^ 0xFA17)
-                .to_builder()
-                .fault_tolerance(RetryPolicy::capped(retries, 4, 64))
-                .build(),
+            SimConfig {
+                retry: RetryPolicy::capped(retries, 4, 64),
+                ..SimConfig::seeded(seed ^ 0xFA17)
+            },
         );
         sim.schedule_faults(&schedule);
         let nodes = topo.num_nodes() as u32;
@@ -127,10 +127,10 @@ proptest! {
         let mut sim = Simulation::new(
             &topo, &faults, Router::DimensionOrder, SelectionPolicy::First,
             &scheme,
-            SimConfig::seeded(seed)
-                .to_builder()
-                .fault_tolerance(RetryPolicy::capped(retries, 4, 64))
-                .build(),
+            SimConfig {
+                retry: RetryPolicy::capped(retries, 4, 64),
+                ..SimConfig::seeded(seed)
+            },
         );
         let mut rng = SmallRng::seed_from_u64(seed);
         let nodes = topo.num_nodes() as u32;

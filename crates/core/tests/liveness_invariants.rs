@@ -66,22 +66,21 @@ proptest! {
                 move || rng.gen::<f64>()
             },
         );
-        let mut cfg = SimConfig::seeded(seed)
-            .to_builder()
-            .watchdog(WatchdogConfig {
+        let cfg = SimConfig {
+            watchdog: Some(WatchdogConfig {
                 check_period: 64,
                 max_age,
                 stall_cycles: 4096,
                 escape: Some(Router::DimensionOrder),
-            })
-            .invariants(InvariantConfig::strict())
-            .build();
-        if retries > 0 {
-            cfg = cfg
-                .to_builder()
-                .fault_tolerance(RetryPolicy::capped(retries, 4, 256))
-                .build();
-        }
+            }),
+            invariants: InvariantConfig::strict(),
+            retry: if retries > 0 {
+                RetryPolicy::capped(retries, 4, 256)
+            } else {
+                RetryPolicy::OFF
+            },
+            ..SimConfig::seeded(seed)
+        };
         let mut sim = Simulation::new(
             &topo,
             &FaultSet::none(),
@@ -128,11 +127,11 @@ proptest! {
         // Watchdog armed as a backstop: if the livelock ever regressed,
         // the run would end in typed drops (caught by the delivery
         // assert) instead of hanging the test suite.
-        let cfg = SimConfig::seeded(seed)
-            .to_builder()
-            .watchdog(WatchdogConfig::default())
-            .invariants(InvariantConfig::strict())
-            .build();
+        let cfg = SimConfig {
+            watchdog: Some(WatchdogConfig::default()),
+            invariants: InvariantConfig::strict(),
+            ..SimConfig::seeded(seed)
+        };
         let mut sim = Simulation::new(
             &topo,
             &FaultSet::none(),

@@ -32,10 +32,10 @@ fn mark_trail_reproduces_identify_answer() {
     let map = AddrMap::for_topology(&topo);
     let faults = FaultSet::none();
     let sink = MemorySink::new();
-    let cfg = SimConfig::seeded(7)
-        .to_builder()
-        .telemetry(TelemetryConfig::events_to(shared(sink.clone())))
-        .build();
+    let cfg = SimConfig {
+        telemetry: TelemetryConfig::events_to(shared(sink.clone())),
+        ..SimConfig::seeded(7)
+    };
     let mut sim = Simulation::new(
         &topo,
         &faults,
@@ -107,7 +107,10 @@ fn traced_run_equals_untraced_run() {
             Router::fully_adaptive_for(&topo),
             SelectionPolicy::Random,
             &scheme,
-            SimConfig::seeded(99).to_builder().telemetry(tcfg).build(),
+            SimConfig {
+                telemetry: tcfg,
+                ..SimConfig::seeded(99)
+            },
         );
         for k in 0..40u64 {
             let src = NodeId((k % 15) as u32);
@@ -179,10 +182,10 @@ proptest! {
         // selection, so each case exercises a different lawful path.
         let scheme = DdpmScheme::new(&topo).unwrap();
         let sink = MemorySink::new();
-        let cfg = SimConfig::seeded(seed)
-            .to_builder()
-            .telemetry(TelemetryConfig::events_to(shared(sink.clone())))
-            .build();
+        let cfg = SimConfig {
+            telemetry: TelemetryConfig::events_to(shared(sink.clone())),
+            ..SimConfig::seeded(seed)
+        };
         let mut sim = Simulation::new(
             &topo,
             &FaultSet::none(),
@@ -208,9 +211,10 @@ proptest! {
         let fly = Butterfly::new(2, stages);
         let port_scheme = PortMarking::new(fly).unwrap();
         let fly_sink = MemorySink::new();
-        let fly_cfg = SimConfig::builder()
-            .telemetry(TelemetryConfig::events_to(shared(fly_sink.clone())))
-            .build();
+        let fly_cfg = SimConfig {
+            telemetry: TelemetryConfig::events_to(shared(fly_sink.clone())),
+            ..SimConfig::default()
+        };
         let mut fly_sim = MinSimulation::with_config(fly, port_scheme, &fly_cfg);
         fly_sim.schedule(SimTime::ZERO, mk_packet(&map, 1, src, dst));
         fly_sim.run();

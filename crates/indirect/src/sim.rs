@@ -577,9 +577,10 @@ mod tests {
         let scheme = PortMarking::new(fly).unwrap();
         let map = map_for(&fly);
         let sink = MemorySink::new();
-        let cfg = SimConfig::builder()
-            .telemetry(TelemetryConfig::events_to(shared(sink.clone())))
-            .build();
+        let cfg = SimConfig {
+            telemetry: TelemetryConfig::events_to(shared(sink.clone())),
+            ..SimConfig::default()
+        };
         let mut sim = MinSimulation::with_config(fly, scheme, &cfg);
         sim.schedule(
             SimTime::ZERO,
@@ -633,10 +634,11 @@ mod tests {
         let fly = Butterfly::new(2, 4);
         let scheme = PortMarking::new(fly).unwrap();
         let map = map_for(&fly);
-        let cfg = SimConfig::builder()
-            .invariants(ddpm_sim::InvariantConfig::strict())
-            .buffer_packets(4)
-            .build();
+        let cfg = SimConfig {
+            invariants: ddpm_sim::InvariantConfig::strict(),
+            buffer_packets: 4,
+            ..SimConfig::default()
+        };
         let mut sim = MinSimulation::with_config(fly, scheme, &cfg);
         for id in 0..100u64 {
             let s = NodeId((id % 15) as u32);
@@ -657,12 +659,13 @@ mod tests {
         let fly = Butterfly::new(2, 4);
         let scheme = PortMarking::new(fly).unwrap();
         let map = map_for(&fly);
-        let cfg = SimConfig::builder()
-            .invariants(ddpm_sim::InvariantConfig {
+        let cfg = SimConfig {
+            invariants: ddpm_sim::InvariantConfig {
                 selftest_at: Some(5),
                 ..ddpm_sim::InvariantConfig::recording()
-            })
-            .build();
+            },
+            ..SimConfig::default()
+        };
         let mut sim = MinSimulation::with_config(fly, scheme, &cfg);
         sim.schedule(
             SimTime::ZERO,

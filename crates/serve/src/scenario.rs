@@ -16,9 +16,9 @@
 use ddpm_sim::{
     AdversaryBehavior, AdversarySpec, CheckpointConfig, SchemeSpec, WatchdogConfig,
 };
-use ddpm_routing::Router;
+use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_topology::{FaultEvent, NodeId, Topology, MAX_DIMS};
-use serde_json::{Error as JsonError, FromJson, Value};
+use serde_json::{json, Error as JsonError, FromJson, Value};
 use std::path::Path;
 
 pub use crate::world::ScenarioWorld;
@@ -267,6 +267,19 @@ impl RouterSpec {
     }
 }
 
+/// Parses a `"policy"` value: how a switch picks among the router's
+/// candidate output ports.
+fn policy(v: &Value) -> Result<SelectionPolicy, JsonError> {
+    match v.as_str() {
+        Some("first") => Ok(SelectionPolicy::First),
+        Some("random") => Ok(SelectionPolicy::Random),
+        Some("productive_first_random") => Ok(SelectionPolicy::ProductiveFirstRandom),
+        _ => Err(JsonError::msg(
+            "policy must be one of first, random, productive_first_random",
+        )),
+    }
+}
+
 /// Attack selection.
 #[derive(Clone, Debug)]
 pub enum AttackSpec {
@@ -359,6 +372,19 @@ fn fault_event(v: &Value) -> Result<(u64, FaultEvent), JsonError> {
         }
     };
     Ok((at, ev))
+}
+
+/// Renders one fault event in the `fault_schedule` wire format; the
+/// inverse of the parser above. Programs that generate schedules (the
+/// chaos soak's churn sampler) write them through this.
+#[must_use]
+pub fn fault_event_json(at: u64, ev: FaultEvent) -> Value {
+    match ev {
+        FaultEvent::LinkDown { a, b } => json!({"at": at, "kind": "link_down", "a": a.0, "b": b.0}),
+        FaultEvent::LinkUp { a, b } => json!({"at": at, "kind": "link_up", "a": a.0, "b": b.0}),
+        FaultEvent::SwitchDown { node } => json!({"at": at, "kind": "switch_down", "node": node.0}),
+        FaultEvent::SwitchUp { node } => json!({"at": at, "kind": "switch_up", "node": node.0}),
+    }
 }
 
 /// Optional liveness-watchdog block.
@@ -513,6 +539,10 @@ pub struct ScenarioConfig {
     pub topology: TopologySpec,
     /// Routing algorithm for every switch.
     pub router: RouterSpec,
+    /// Output-port selection among the router's candidates (`"policy":
+    /// "first" | "random" | "productive_first_random"`; default
+    /// `productive_first_random`).
+    pub policy: SelectionPolicy,
     /// Marking scheme (`"scheme": "ddpm" | "dpm" | "ppm-edge" |
     /// "ppm-xor" | "tracemax" | "none"`, or an `auth-*` wrapper).
     /// Selects a two-sided [`ddpm_sim::MarkingScheme`] — switch-side
@@ -565,6 +595,12 @@ pub struct ScenarioConfig {
     /// (`"invariants": true`); the runner reports any violations in its
     /// output instead of panicking. Default false.
     pub invariants: bool,
+    /// Invariant-checker self-test hook (`"invariants_selftest_at":
+    /// cycle`; requires `"invariants": true`): the checker records one
+    /// synthetic `selftest` violation at the first event at or after
+    /// that cycle, exercising the violation → repro bundle → replay
+    /// pipeline without a real bug. Absent = off.
+    pub invariants_selftest_at: Option<u64>,
     /// Crash-consistent checkpointing (`"checkpoint": {...}` block;
     /// absent = off). Checkpointing is digest-neutral: a checkpointed
     /// run — and a run resumed from any of its checkpoints — reports
@@ -583,6 +619,7 @@ impl FromJson for ScenarioConfig {
             &[
                 "topology",
                 "router",
+                "policy",
                 "scheme",
                 "tag_bits",
                 "adversary",
@@ -596,6 +633,7 @@ impl FromJson for ScenarioConfig {
                 "fault_retries",
                 "watchdog",
                 "invariants",
+                "invariants_selftest_at",
                 "checkpoint",
             ],
         )?;
@@ -656,9 +694,23 @@ impl FromJson for ScenarioConfig {
                 .as_bool()
                 .ok_or_else(|| JsonError::msg("`invariants` must be a boolean"))?,
         };
+        let invariants_selftest_at = match v.get("invariants_selftest_at") {
+            None | Some(Value::Null) => None,
+            Some(_) if !invariants => {
+                return Err(JsonError::msg(
+                    "`invariants_selftest_at` requires `\"invariants\": true` \
+                     (the self-test violation is recorded by the invariant checker)",
+                ))
+            }
+            Some(_) => Some(as_u64(v, "invariants_selftest_at")?),
+        };
         Ok(Self {
             topology: TopologySpec::from_json(req(v, "topology")?)?,
             router: RouterSpec::from_json(req(v, "router")?)?,
+            policy: match v.get("policy") {
+                None | Some(Value::Null) => SelectionPolicy::ProductiveFirstRandom,
+                Some(p) => policy(p)?,
+            },
             scheme,
             tag_bits,
             adversary,
@@ -672,6 +724,7 @@ impl FromJson for ScenarioConfig {
             fault_retries: opt_u32(v, "fault_retries", 0)?,
             watchdog: watchdog_block(v)?,
             invariants,
+            invariants_selftest_at,
             checkpoint: checkpoint_block(v)?,
         })
     }
@@ -698,15 +751,6 @@ pub struct ScenarioOutcome {
     /// violations, `S=` stats), so a mismatch can be localised to the
     /// first diverging stream instead of a bare "hashes differ".
     pub digest: String,
-}
-
-pub(crate) fn fnv64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Executes a scenario.
@@ -868,6 +912,8 @@ mod tests {
     fn json_config_roundtrip_and_run() {
         let cfg = sample_cfg();
         assert_eq!(cfg.seed, 2004, "defaults applied");
+        assert_eq!(cfg.policy, SelectionPolicy::ProductiveFirstRandom);
+        assert_eq!(cfg.invariants_selftest_at, None);
         let out = run_scenario(&cfg).expect("runs");
         assert!(out.text.contains("attrib :"), "{}", out.text);
         let att = &out.json["attribution"];
@@ -927,6 +973,12 @@ mod tests {
         .expect("valid config");
         assert_eq!(cfg.fault_schedule.len(), 4);
         assert_eq!(cfg.fault_retries, 4);
+        let written: Vec<_> = cfg
+            .fault_schedule
+            .iter()
+            .map(|&(at, ev)| fault_event(&fault_event_json(at, ev)).expect("parses back"))
+            .collect();
+        assert_eq!(written, cfg.fault_schedule, "the writer inverts the parser");
         let out = run_scenario(&cfg).expect("runs");
         assert!(out.text.contains("faults :"), "{}", out.text);
         assert_eq!(out.json["faults"]["events_applied"], 4u64);
@@ -1041,8 +1093,14 @@ mod tests {
 
     #[test]
     fn unknown_top_level_field_is_rejected_with_spellings() {
-        // A typo, and the removed execution-engine knobs.
-        for (key, value) in [("fault_retires", "6"), ("engine", r#""sharded""#), ("shards", "4")] {
+        // Typos, and the removed execution-engine knobs.
+        for (key, value) in [
+            ("fault_retires", "6"),
+            ("selection_policy", r#""first""#),
+            ("selftest_at", "50"),
+            ("engine", r#""sharded""#),
+            ("shards", "4"),
+        ] {
             let raw = format!(
                 r#"{{
                     "topology": {{"kind": "mesh", "dims": [4, 4]}},
@@ -1055,7 +1113,9 @@ mod tests {
                 .unwrap_err()
                 .to_string();
             assert!(err.contains(&format!("unknown field `{key}`")), "{err}");
-            assert!(err.contains("fault_retries"), "lists accepted fields: {err}");
+            for accepted in ["fault_retries", "policy", "invariants_selftest_at"] {
+                assert!(err.contains(accepted), "lists accepted fields: {err}");
+            }
         }
     }
 
@@ -1125,10 +1185,28 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("must be positive"), "{err}");
-        let err = serde_json::from_str::<ScenarioConfig>(&base(r#""invariants": "yes""#))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("must be a boolean"), "{err}");
+        for (extra, needle) in [
+            (r#""invariants": "yes""#, "must be a boolean"),
+            (
+                r#""policy": "fastest""#,
+                "policy must be one of first, random, productive_first_random",
+            ),
+            (r#""policy": 1"#, "policy must be one of"),
+            (r#""invariants_selftest_at": 50"#, "requires `\"invariants\": true`"),
+            (
+                r#""invariants": false, "invariants_selftest_at": 50"#,
+                "requires `\"invariants\": true`",
+            ),
+            (
+                r#""invariants": true, "invariants_selftest_at": "soon""#,
+                "`invariants_selftest_at` must be a non-negative integer",
+            ),
+        ] {
+            let err = serde_json::from_str::<ScenarioConfig>(&base(extra))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains(needle), "expected `{needle}`, got: {err}");
+        }
     }
 
     #[test]
@@ -1155,6 +1233,27 @@ mod tests {
         assert!(out.text.contains("invariants: 0 violations"), "{}", out.text);
         assert_eq!(out.json["violations"].as_array().map(Vec::len), Some(0));
         assert!(out.json["watchdog"]["checks"].as_u64().unwrap() > 0);
+
+        // The selection policy and the checker's self-test hook.
+        let cfg: ScenarioConfig = serde_json::from_str(
+            r#"{
+                "topology": {"kind": "mesh", "dims": [4, 4]},
+                "router": "minimal_adaptive",
+                "policy": "first",
+                "scheme": "ddpm",
+                "background_interval": 16,
+                "horizon": 600,
+                "invariants": true,
+                "invariants_selftest_at": 100
+            }"#,
+        )
+        .expect("valid config");
+        assert_eq!(cfg.policy, SelectionPolicy::First);
+        assert_eq!(cfg.invariants_selftest_at, Some(100));
+        let out = run_scenario(&cfg).expect("runs");
+        assert!(out.text.contains("invariants: 1 VIOLATIONS"), "{}", out.text);
+        assert_eq!(out.json["violations"][0]["invariant"].as_str(), Some("selftest"));
+        assert!(out.json["violations"][0]["cycle"].as_u64().unwrap() >= 100);
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {

@@ -12,14 +12,15 @@
 //! `execute()` so the outcome digest of a world driven in arbitrary
 //! stride interleavings is identical to the standalone run's.
 
-use crate::scenario::{fnv64, AttackSpec, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{AttackSpec, ScenarioConfig, ScenarioOutcome};
 use ddpm_attack::{
     AdversaryModel, BackgroundTraffic, FloodAttack, PacketFactory, SpoofStrategy, SynFloodAttack,
     TrafficPattern, Workload,
 };
+use ddpm_checkpoint::fnv64;
 use ddpm_core::build_scheme_with;
 use ddpm_net::{AddrMap, TrafficClass};
-use ddpm_routing::{Router, SelectionPolicy};
+use ddpm_routing::Router;
 use ddpm_sim::{
     Attribution, Collector, InvariantConfig, Marker, MarkingScheme, RetryPolicy, SchemeSpec,
     SimConfig, SimSnapshot, SimTime, Simulation,
@@ -254,41 +255,31 @@ impl ScenarioWorld {
             workload.extend(generate_attack(attack, &mut factory, &mut rng, &check_node)?);
         }
 
-        let mut sim_cfg = SimConfig::seeded(cfg.seed);
-        if let Some(spec) = &cfg.adversary {
+        let defaults = SimConfig::seeded(cfg.seed);
+        let sim_cfg = SimConfig {
             // Lets the core flag compromised nodes: it emits `MarkTamper`
             // telemetry at every marking touch by a compromised switch.
-            sim_cfg = sim_cfg.to_builder().adversary(spec.clone()).build();
-        }
-        if cfg.fault_retries > 0 {
-            let backoff = sim_cfg.service_cycles.max(1);
-            sim_cfg = sim_cfg
-                .to_builder()
-                .fault_tolerance(RetryPolicy::capped(cfg.fault_retries, backoff, 256))
-                .build();
-        }
-        if let Some(wd) = cfg.watchdog {
-            sim_cfg = sim_cfg.to_builder().watchdog(wd).build();
-        }
-        if cfg.invariants {
+            adversary: cfg.adversary.clone(),
+            retry: if cfg.fault_retries > 0 {
+                RetryPolicy::capped(cfg.fault_retries, defaults.service_cycles.max(1), 256)
+            } else {
+                RetryPolicy::OFF
+            },
+            watchdog: cfg.watchdog,
             // Recording, not strict: a scenario run should report the
             // violation to its user, not abort the process.
-            sim_cfg = sim_cfg
-                .to_builder()
-                .invariants(InvariantConfig::recording())
-                .build();
-        }
-        if let Some(tc) = telemetry {
-            sim_cfg = sim_cfg.to_builder().telemetry(tc).build();
-        }
-        let mut sim = Simulation::new(
-            topo_ref,
-            faults_ref,
-            router,
-            SelectionPolicy::ProductiveFirstRandom,
-            marker,
-            sim_cfg,
-        );
+            invariants: if cfg.invariants {
+                InvariantConfig {
+                    selftest_at: cfg.invariants_selftest_at,
+                    ..InvariantConfig::recording()
+                }
+            } else {
+                defaults.invariants
+            },
+            telemetry: telemetry.unwrap_or_default(),
+            ..defaults
+        };
+        let mut sim = Simulation::new(topo_ref, faults_ref, router, cfg.policy, marker, sim_cfg);
         match resume {
             None => {
                 sim.schedule_faults(&schedule);
@@ -724,14 +715,14 @@ impl ScenarioWorld {
         let dump = format!("{d_dump}{x_dump}{v_dump}{s_dump}");
         let digest = format!(
             "{:016x} delivered={} dropped={} violations={} D={:016x} X={:016x} V={:016x} S={:016x}",
-            fnv64(&dump),
+            fnv64(dump.as_bytes()),
             sim.delivered().len(),
             sim.drops().len(),
             sim.violations().len(),
-            fnv64(&d_dump),
-            fnv64(&x_dump),
-            fnv64(&v_dump),
-            fnv64(&s_dump),
+            fnv64(d_dump.as_bytes()),
+            fnv64(x_dump.as_bytes()),
+            fnv64(v_dump.as_bytes()),
+            fnv64(s_dump.as_bytes()),
         );
 
         let mut text = format!(

@@ -58,7 +58,7 @@ impl Default for RetryPolicy {
 /// Crash-consistent checkpointing knobs. The simulator itself is
 /// checkpoint-agnostic — it only exposes [`crate::Simulation::snapshot`]
 /// and `run_until` — so this block is pure driver configuration: the
-/// scenario runner (`ddpm-bench`) reads it and calls into
+/// scenario runner (`ddpm-serve`) reads it and calls into
 /// `ddpm-checkpoint` to write snapshots at the configured cadence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointConfig {
@@ -91,22 +91,18 @@ impl CheckpointConfig {
     }
 }
 
-/// Tunable parameters of a simulation run.
-///
-/// Construct via [`SimConfig::builder`]:
+/// Tunable parameters of a simulation run: plain data, built with
+/// struct-update syntax over [`SimConfig::seeded`] (or `default()`):
 ///
 /// ```
 /// use ddpm_sim::{RetryPolicy, SimConfig};
-/// let cfg = SimConfig::builder()
-///     .link_latency(1)
-///     .seed(42)
-///     .fault_tolerance(RetryPolicy::capped(6, 4, 256))
-///     .build();
-/// assert_eq!(cfg.reroute_retry.retries, 6);
+/// let cfg = SimConfig {
+///     link_latency: 1,
+///     retry: RetryPolicy::capped(6, 4, 256),
+///     ..SimConfig::seeded(42)
+/// };
+/// assert_eq!(cfg.retry.retries, 6);
 /// ```
-///
-/// `Default` and direct field access remain available so existing
-/// callers migrate incrementally.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Propagation latency of one link, in cycles.
@@ -129,17 +125,16 @@ pub struct SimConfig {
     /// detected by RFC 1071 arithmetic), so corruption costs delivery,
     /// never correctness.
     pub bit_error_rate: f64,
-    /// Source-side injection retry policy: when a packet's local switch
-    /// is down at injection time, the compute node re-offers the packet
-    /// after a backoff instead of losing it. [`RetryPolicy::OFF`]
-    /// (default) drops immediately.
-    pub inject_retry: RetryPolicy,
-    /// In-network reroute retry policy: when routing offers no admissible
-    /// output port (a transient fault may heal), the switch parks the
-    /// packet and re-queries the *live* fault state after a backoff.
-    /// [`RetryPolicy::OFF`] (default) drops as `Blocked` immediately —
-    /// the pre-fault-tolerance behaviour.
-    pub reroute_retry: RetryPolicy,
+    /// Graceful degradation under dynamic faults, one policy for both
+    /// places a fault can stop a packet. Injection: when a packet's
+    /// local switch is down, the compute node re-offers it after a
+    /// backoff instead of losing it. Reroute: when routing offers no
+    /// admissible output port (a transient fault may heal), the switch
+    /// parks the packet and re-queries the *live* fault state after a
+    /// backoff. [`RetryPolicy::OFF`] (default) drops immediately — as
+    /// `Blocked` when stranded in the network, the pre-fault-tolerance
+    /// behaviour.
+    pub retry: RetryPolicy,
     /// What the run records and where it goes (events, profiling,
     /// sinks). Fully off by default — the zero-cost path.
     pub telemetry: TelemetryConfig,
@@ -160,10 +155,6 @@ pub struct SimConfig {
     /// wrapper itself is built by the driver (`ddpm-attack`). `None`
     /// (default) means every switch is honest.
     pub adversary: Option<AdversarySpec>,
-    /// Crash-consistent checkpointing (driver-interpreted; `None`
-    /// disables it). Results are checkpoint-invariant: a checkpointed
-    /// and resumed run reproduces the uninterrupted run bit-for-bit.
-    pub checkpoint: Option<CheckpointConfig>,
 }
 
 impl Default for SimConfig {
@@ -175,34 +166,17 @@ impl Default for SimConfig {
             max_hops: 256,
             record_paths: false,
             bit_error_rate: 0.0,
-            inject_retry: RetryPolicy::OFF,
-            reroute_retry: RetryPolicy::OFF,
+            retry: RetryPolicy::OFF,
             telemetry: TelemetryConfig::default(),
             watchdog: None,
             invariants: InvariantConfig::default(),
             seed: 0xDD9A,
             adversary: None,
-            checkpoint: None,
         }
     }
 }
 
 impl SimConfig {
-    /// Starts a builder from the defaults.
-    #[must_use]
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-
-    /// Continues building from an existing config (e.g. one parsed from
-    /// a scenario file).
-    #[must_use]
-    pub fn to_builder(self) -> SimConfigBuilder {
-        SimConfigBuilder { cfg: self }
-    }
-
     /// Config with a given seed, other parameters default.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
@@ -211,230 +185,32 @@ impl SimConfig {
             ..Self::default()
         }
     }
-
-    /// Config with paths recorded (reconstruction experiments).
-    #[must_use]
-    pub fn with_paths(mut self) -> Self {
-        self.record_paths = true;
-        self
-    }
-}
-
-/// Fluent constructor for [`SimConfig`]; finish with
-/// [`SimConfigBuilder::build`].
-#[derive(Clone, Debug, Default)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Sets the per-link propagation latency, in cycles.
-    #[must_use]
-    pub fn link_latency(mut self, cycles: u64) -> Self {
-        self.cfg.link_latency = cycles;
-        self
-    }
-
-    /// Sets the per-port packet serialisation time, in cycles.
-    #[must_use]
-    pub fn service_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.service_cycles = cycles;
-        self
-    }
-
-    /// Sets the output-buffer depth per port, in packets.
-    #[must_use]
-    pub fn buffer_packets(mut self, packets: u32) -> Self {
-        self.cfg.buffer_packets = packets;
-        self
-    }
-
-    /// Sets the per-packet hop limit.
-    #[must_use]
-    pub fn max_hops(mut self, hops: u32) -> Self {
-        self.cfg.max_hops = hops;
-        self
-    }
-
-    /// Records the full node path of every delivered packet.
-    #[must_use]
-    pub fn record_paths(mut self, on: bool) -> Self {
-        self.cfg.record_paths = on;
-        self
-    }
-
-    /// Sets the per-traversal single-bit link error probability.
-    #[must_use]
-    pub fn bit_error_rate(mut self, rate: f64) -> Self {
-        self.cfg.bit_error_rate = rate;
-        self
-    }
-
-    /// Enables graceful degradation: `policy` governs both injection and
-    /// reroute retries. (This folds the old `with_fault_tolerance`
-    /// constructor into the builder.)
-    #[must_use]
-    pub fn fault_tolerance(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.inject_retry = policy;
-        self.cfg.reroute_retry = policy;
-        self
-    }
-
-    /// Sets the source-side injection retry policy alone.
-    #[must_use]
-    pub fn inject_retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.inject_retry = policy;
-        self
-    }
-
-    /// Sets the in-network reroute retry policy alone.
-    #[must_use]
-    pub fn reroute_retry(mut self, policy: RetryPolicy) -> Self {
-        self.cfg.reroute_retry = policy;
-        self
-    }
-
-    /// Sets the telemetry configuration.
-    #[must_use]
-    pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.cfg.telemetry = telemetry;
-        self
-    }
-
-    /// Installs the liveness watchdog.
-    #[must_use]
-    pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.cfg.watchdog = Some(watchdog);
-        self
-    }
-
-    /// Sets the invariant-checker configuration.
-    #[must_use]
-    pub fn invariants(mut self, invariants: InvariantConfig) -> Self {
-        self.cfg.invariants = invariants;
-        self
-    }
-
-    /// Sets the RNG seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Installs a compromised-switch adversary (see
-    /// [`SimConfig::adversary`]).
-    #[must_use]
-    pub fn adversary(mut self, adversary: AdversarySpec) -> Self {
-        self.cfg.adversary = Some(adversary);
-        self
-    }
-
-    /// Enables crash-consistent checkpointing (results are
-    /// checkpoint-invariant; see [`CheckpointConfig`]).
-    #[must_use]
-    pub fn checkpoint(mut self, checkpoint: CheckpointConfig) -> Self {
-        self.cfg.checkpoint = Some(checkpoint);
-        self
-    }
-
-    /// Finishes, yielding the config.
-    #[must_use]
-    pub fn build(self) -> SimConfig {
-        self.cfg
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::AdversaryBehavior;
-    use ddpm_topology::NodeId;
 
     #[test]
-    fn builder_covers_every_knob() {
-        let adversary = AdversarySpec::new(
-            vec![NodeId(5)],
-            AdversaryBehavior::Skip,
-            None,
-            3,
-        );
-        let cfg = SimConfig::builder()
-            .link_latency(1)
-            .service_cycles(3)
-            .buffer_packets(9)
-            .max_hops(77)
-            .record_paths(true)
-            .bit_error_rate(0.25)
-            .fault_tolerance(RetryPolicy::capped(4, 2, 100))
-            .telemetry(TelemetryConfig::profiled())
-            .watchdog(WatchdogConfig::default())
-            .invariants(InvariantConfig::strict())
-            .seed(42)
-            .adversary(adversary.clone())
-            .checkpoint(CheckpointConfig::new(500, "/tmp/ckpt"))
-            .build();
-        assert_eq!(cfg.link_latency, 1);
-        assert_eq!(cfg.service_cycles, 3);
-        assert_eq!(cfg.buffer_packets, 9);
-        assert_eq!(cfg.max_hops, 77);
-        assert!(cfg.record_paths);
-        assert_eq!(cfg.bit_error_rate, 0.25);
-        assert_eq!(cfg.inject_retry.retries, 4);
-        assert_eq!(cfg.reroute_retry, cfg.inject_retry);
-        assert!(cfg.telemetry.profile);
-        assert_eq!(cfg.watchdog, Some(WatchdogConfig::default()));
-        assert!(cfg.invariants.enabled && cfg.invariants.panic_on_violation);
-        assert_eq!(cfg.seed, 42);
-        assert_eq!(cfg.adversary, Some(adversary));
-        let ck = cfg.checkpoint.expect("checkpoint knob set");
-        assert_eq!(ck.every, 500);
-        assert_eq!(ck.dir, std::path::PathBuf::from("/tmp/ckpt"));
-        assert_eq!(ck.keep, 2, "default retention keeps a fallback");
-        assert_eq!(ck.crash_at, None);
-    }
-
-    #[test]
-    fn checkpoint_defaults_off_and_every_clamps() {
-        assert_eq!(SimConfig::default().checkpoint, None);
+    fn checkpoint_every_clamps() {
         assert_eq!(CheckpointConfig::new(0, "x").every, 1, "cadence clamps to 1");
     }
 
     #[test]
-    fn builder_defaults_match_default() {
-        let built = SimConfig::builder().build();
-        let def = SimConfig::default();
-        assert_eq!(built.link_latency, def.link_latency);
-        assert_eq!(built.seed, def.seed);
-        assert_eq!(built.reroute_retry, RetryPolicy::OFF);
-        assert!(!built.telemetry.enabled());
-        assert_eq!(built.watchdog, None, "watchdog is opt-in");
-        assert_eq!(built.adversary, None, "switches are honest by default");
+    fn defaults_are_off() {
+        let def = SimConfig::seeded(7);
+        assert_eq!(def.seed, 7);
+        assert_eq!(def.link_latency, SimConfig::default().link_latency);
+        assert!(!def.record_paths);
+        assert_eq!(def.retry, RetryPolicy::OFF);
+        assert!(!def.telemetry.enabled());
+        assert_eq!(def.watchdog, None, "watchdog is opt-in");
+        assert_eq!(def.adversary, None, "switches are honest by default");
         assert_eq!(
-            built.invariants.enabled,
+            def.invariants.enabled,
             cfg!(debug_assertions),
             "checker defaults on in debug, off in release"
         );
-    }
-
-    #[test]
-    fn to_builder_resumes_from_existing_config() {
-        let cfg = SimConfig::seeded(7)
-            .to_builder()
-            .reroute_retry(RetryPolicy::capped(2, 1, 10))
-            .build();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.reroute_retry.retries, 2);
-        assert_eq!(cfg.inject_retry, RetryPolicy::OFF, "only reroute set");
-    }
-
-    #[test]
-    fn legacy_shorthands_still_work() {
-        let c = SimConfig::seeded(42).with_paths();
-        assert_eq!(c.seed, 42);
-        assert!(c.record_paths);
-        assert_eq!(c.link_latency, SimConfig::default().link_latency);
-        assert_eq!(c.reroute_retry, RetryPolicy::OFF);
     }
 
     #[test]

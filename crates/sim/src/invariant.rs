@@ -23,7 +23,7 @@ use ddpm_telemetry::PacketEvent;
 use std::collections::VecDeque;
 
 /// Invariant-checker knobs, installed via
-/// [`crate::SimConfigBuilder::invariants`].
+/// [`crate::SimConfig::invariants`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InvariantConfig {
     /// Master switch. Defaults to on in debug builds (tests), off in

@@ -46,13 +46,13 @@ pub mod time;
 pub mod watchdog;
 
 pub use adversary::{AdversaryBehavior, AdversarySpec, AdversaryState};
-pub use config::{CheckpointConfig, RetryPolicy, SimConfig, SimConfigBuilder};
+pub use config::{CheckpointConfig, RetryPolicy, SimConfig};
 pub use filter::{Filter, NoFilter};
 pub use invariant::{InvariantChecker, InvariantConfig, Violation};
 pub use mark::{MarkEnv, Marker, NoMarking};
 pub use network::{Delivered, DropReason, Simulation};
 pub use scheme::{Attribution, Collector, HopCost, MarkingScheme, SchemeSpec, CONVICTION_CONFIDENCE};
 pub use snapshot::{FlightSnap, SimSnapshot, SlotSnap};
-pub use stats::{ClassCounters, ClassStats, FaultStats, LatencyStats, SimStats};
+pub use stats::{ClassCounters, FaultStats, LatencyStats, SimStats};
 pub use time::SimTime;
 pub use watchdog::{WatchdogConfig, WatchdogStats};

@@ -551,9 +551,8 @@ impl<'a> Simulation<'a> {
         // from the config rather than a 64×64-era constant, so Table 3
         // fabrics with long backoffs keep the heap out of steady state.
         let deferral = cfg
-            .inject_retry
+            .retry
             .max_delay
-            .max(cfg.reroute_retry.max_delay)
             .max(cfg.watchdog.as_ref().map_or(0, |w| w.check_period));
         let horizon = (u64::from(cfg.buffer_packets) + 2) * cfg.service_cycles.max(1)
             + cfg.link_latency
@@ -1292,12 +1291,12 @@ impl<'a> Simulation<'a> {
         }
         // Source-side graceful degradation: a downed local switch makes
         // the compute node hold the packet and retry with exponential
-        // backoff (the injection RetryPolicy) rather than lose it.
+        // backoff (the config's RetryPolicy) rather than lose it.
         if self.live.is_node_dead(src_id) {
             let attempt = self.pkts.inject_attempts[pkt];
-            if attempt < self.cfg.inject_retry.retries {
+            if attempt < self.cfg.retry.retries {
                 self.pkts.inject_attempts[pkt] = attempt + 1;
-                let at = self.now.cycles() + self.cfg.inject_retry.delay(attempt);
+                let at = self.now.cycles() + self.cfg.retry.delay(attempt);
                 self.queue.push(SimTime(at), EventKind::Inject { pkt });
                 if self.obs {
                     self.emit(
@@ -1510,14 +1509,14 @@ impl<'a> Simulation<'a> {
         cands.clear();
         self.cand_buf = cands;
         let Some(chosen) = chosen else {
-            // Stranded. With a reroute budget the switch parks the
+            // Stranded. With a retry budget the switch parks the
             // packet and retries after a backoff — transient faults may
             // heal. Without one (the default), this is a Blocked drop,
             // as before dynamic faults existed.
             let tried = self.pkts.reroutes[pkt];
-            if tried < self.cfg.reroute_retry.retries {
+            if tried < self.cfg.retry.retries {
                 self.pkts.reroutes[pkt] = tried + 1;
-                let at = self.now.cycles() + self.cfg.reroute_retry.delay(tried);
+                let at = self.now.cycles() + self.cfg.retry.delay(tried);
                 self.queue.push(SimTime(at), EventKind::Reroute { pkt, node });
                 if self.obs {
                     self.emit(
@@ -1529,7 +1528,7 @@ impl<'a> Simulation<'a> {
                         },
                     );
                 }
-            } else if self.cfg.reroute_retry.retries > 0 {
+            } else if self.cfg.retry.retries > 0 {
                 self.drop_packet(pkt, node, DropReason::RerouteExhausted);
             } else {
                 self.drop_packet(pkt, node, DropReason::Blocked);
@@ -1854,7 +1853,10 @@ mod tests {
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig::default().with_paths(),
+            SimConfig {
+                record_paths: true,
+                ..SimConfig::default()
+            },
         );
         sim.schedule(
             SimTime::ZERO,
@@ -1993,7 +1995,10 @@ mod tests {
                 Router::fully_adaptive_for(&topo),
                 SelectionPolicy::Random,
                 &marker,
-                SimConfig::seeded(seed).with_paths(),
+                SimConfig {
+                    record_paths: true,
+                    ..SimConfig::seeded(seed)
+                },
             );
             for id in 0..50u64 {
                 let s = NodeId((id % 36) as u32);
@@ -2065,7 +2070,10 @@ mod tests {
             Router::MinimalAdaptive,
             SelectionPolicy::Random,
             &marker,
-            SimConfig::seeded(5).with_paths(),
+            SimConfig {
+                record_paths: true,
+                ..SimConfig::seeded(5)
+            },
         );
         for id in 0..40u64 {
             sim.schedule(
@@ -2172,9 +2180,10 @@ mod tests {
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig::builder()
-                .fault_tolerance(RetryPolicy::capped(8, 4, 64))
-                .build(),
+            SimConfig {
+                retry: RetryPolicy::capped(8, 4, 64),
+                ..SimConfig::default()
+            },
         );
         // XY from (0,0) to (2,0) needs the east link, down during
         // [1, 50): without retries this is a Blocked drop (see
@@ -2223,9 +2232,10 @@ mod tests {
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig::builder()
-                .fault_tolerance(RetryPolicy::capped(2, 4, 32))
-                .build(),
+            SimConfig {
+                retry: RetryPolicy::capped(2, 4, 32),
+                ..SimConfig::default()
+            },
         );
         // The east link never comes back: the budget runs dry.
         sim.schedule_faults(&FaultSchedule::from_events(vec![(
@@ -2261,9 +2271,10 @@ mod tests {
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig::builder()
-                .fault_tolerance(RetryPolicy::capped(8, 4, 64))
-                .build(),
+            SimConfig {
+                retry: RetryPolicy::capped(8, 4, 64),
+                ..SimConfig::default()
+            },
         );
         sim.schedule_faults(&FaultSchedule::from_events(vec![
             (1, FaultEvent::SwitchDown { node: NodeId(0) }),
@@ -2330,7 +2341,10 @@ mod tests {
             Router::MinimalAdaptive,
             SelectionPolicy::First,
             &marker,
-            SimConfig::default().with_paths(),
+            SimConfig {
+                record_paths: true,
+                ..SimConfig::default()
+            },
         );
         // Kill the (0,0)–(1,0) link before the packet leaves; minimal
         // adaptive still has the (0,0)–(0,1) productive hop.
@@ -2368,15 +2382,16 @@ mod tests {
         faults.add(&topo, &Coord::new(&[0, 0]), &Coord::new(&[1, 0]));
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
-        let cfg = SimConfig::builder()
-            .fault_tolerance(RetryPolicy::capped(100, 512, 512))
-            .watchdog(WatchdogConfig {
+        let cfg = SimConfig {
+            retry: RetryPolicy::capped(100, 512, 512),
+            watchdog: Some(WatchdogConfig {
                 check_period: 16,
                 max_age: 64,
                 stall_cycles: 1 << 40,
                 escape: Some(Router::MinimalAdaptive),
-            })
-            .build();
+            }),
+            ..SimConfig::default()
+        };
         let mut sim = Simulation::new(
             &topo,
             &faults,
@@ -2411,15 +2426,16 @@ mod tests {
         faults.add(&topo, &Coord::new(&[0, 0]), &Coord::new(&[1, 0]));
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
-        let cfg = SimConfig::builder()
-            .fault_tolerance(RetryPolicy::capped(1000, 512, 512))
-            .watchdog(WatchdogConfig {
+        let cfg = SimConfig {
+            retry: RetryPolicy::capped(1000, 512, 512),
+            watchdog: Some(WatchdogConfig {
                 check_period: 16,
                 max_age: 1 << 40,
                 stall_cycles: 128,
                 escape: Some(Router::DimensionOrder),
-            })
-            .build();
+            }),
+            ..SimConfig::default()
+        };
         let mut sim = Simulation::new(
             &topo,
             &faults,
@@ -2457,15 +2473,16 @@ mod tests {
         faults.add(&topo, &Coord::new(&[0, 0]), &Coord::new(&[1, 0]));
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
-        let cfg = SimConfig::builder()
-            .fault_tolerance(RetryPolicy::capped(1000, 32, 32))
-            .watchdog(WatchdogConfig {
+        let cfg = SimConfig {
+            retry: RetryPolicy::capped(1000, 32, 32),
+            watchdog: Some(WatchdogConfig {
                 check_period: 16,
                 max_age: 64,
                 stall_cycles: 1 << 40,
                 escape: Some(Router::DimensionOrder),
-            })
-            .build();
+            }),
+            ..SimConfig::default()
+        };
         let mut sim = Simulation::new(
             &topo,
             &faults,
@@ -2498,14 +2515,15 @@ mod tests {
         let faults = FaultSet::none();
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
-        let cfg = SimConfig::builder()
-            .watchdog(WatchdogConfig {
+        let cfg = SimConfig {
+            watchdog: Some(WatchdogConfig {
                 check_period: 4,
                 max_age: 8,
                 stall_cycles: 1 << 40,
                 escape: Some(Router::DimensionOrder),
-            })
-            .build();
+            }),
+            ..SimConfig::default()
+        };
         let mut sim = Simulation::new(
             &topo,
             &faults,
@@ -2535,12 +2553,13 @@ mod tests {
         let faults = FaultSet::none();
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
-        let cfg = SimConfig::builder()
-            .invariants(InvariantConfig {
+        let cfg = SimConfig {
+            invariants: InvariantConfig {
                 selftest_at: Some(10),
                 ..InvariantConfig::recording()
-            })
-            .build();
+            },
+            ..SimConfig::default()
+        };
         let mut sim = Simulation::new(
             &topo,
             &faults,
@@ -2570,12 +2589,13 @@ mod tests {
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig::builder()
-                .invariants(InvariantConfig {
+            SimConfig {
+                invariants: InvariantConfig {
                     selftest_at: Some(10),
                     ..InvariantConfig::recording()
-                })
-                .build(),
+                },
+                ..SimConfig::default()
+            },
         );
         sim2.schedule(
             SimTime::ZERO,

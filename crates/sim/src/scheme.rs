@@ -99,8 +99,7 @@ impl Attribution {
     }
 
     /// The identified source when [`Attribution::is_identified`], else
-    /// `None` — the adapter for call sites migrating off the deprecated
-    /// `Option<NodeId>`-shaped `identify()` signatures.
+    /// `None`: the accessor for callers that need a single source.
     #[must_use]
     pub fn single(&self) -> Option<NodeId> {
         match self.candidates.as_slice() {

@@ -10,10 +10,6 @@ use ddpm_net::TrafficClass;
 
 pub use ddpm_telemetry::{ClassCounters, LatencyStats};
 
-/// Per-traffic-class counters. Alias kept so existing callers migrate
-/// incrementally; the canonical name is [`ClassCounters`].
-pub type ClassStats = ClassCounters;
-
 /// Dynamic-fault bookkeeping for one run (aggregate across traffic
 /// classes; the per-class fault drops live in [`ClassCounters`]).
 #[derive(Clone, Copy, Debug, Default)]

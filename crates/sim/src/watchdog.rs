@@ -24,8 +24,8 @@
 use ddpm_routing::Router;
 
 /// Tunable liveness-watchdog parameters. Install via
-/// [`crate::SimConfigBuilder::watchdog`]; `None` (the default) disables
-/// the watchdog entirely.
+/// [`crate::SimConfig::watchdog`]; `None` (the default) disables the
+/// watchdog entirely.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Cycles between watchdog sweeps. The watchdog arms itself lazily

@@ -21,6 +21,7 @@
 //! and review the diff of `tests/conformance_digests.txt` like any
 //! other source change.
 
+use ddpm_routing::SelectionPolicy;
 use ddpm_serve::scenario::{run_scenario, AttackSpec, RouterSpec, ScenarioConfig, TopologySpec};
 use ddpm_sim::{AdversaryBehavior, AdversarySpec, SchemeSpec, WatchdogConfig};
 use ddpm_topology::{FaultEvent, NodeId};
@@ -76,6 +77,7 @@ fn micro_config(topo: &TopologySpec, router: RouterSpec, churn: &str) -> Scenari
     let mut cfg = ScenarioConfig {
         topology: topo.clone(),
         router,
+        policy: SelectionPolicy::ProductiveFirstRandom,
         scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
@@ -89,6 +91,7 @@ fn micro_config(topo: &TopologySpec, router: RouterSpec, churn: &str) -> Scenari
         fault_retries: 0,
         watchdog: None,
         invariants: false,
+        invariants_selftest_at: None,
         checkpoint: None,
     };
     match churn {
@@ -130,6 +133,7 @@ fn scheme_config(topo: &TopologySpec, spec: SchemeSpec) -> ScenarioConfig {
     ScenarioConfig {
         topology: topo.clone(),
         router: RouterSpec::DimensionOrder,
+        policy: SelectionPolicy::ProductiveFirstRandom,
         scheme: Some(spec),
         tag_bits: None,
         adversary: None,
@@ -148,6 +152,7 @@ fn scheme_config(topo: &TopologySpec, spec: SchemeSpec) -> ScenarioConfig {
         fault_retries: 0,
         watchdog: None,
         invariants: false,
+        invariants_selftest_at: None,
         checkpoint: None,
     }
 }
@@ -259,6 +264,7 @@ fn scale_cells() -> Vec<(String, ScenarioConfig)> {
     let flood = |topo: TopologySpec, victim: u32, staged: bool| ScenarioConfig {
         topology: topo,
         router: RouterSpec::DimensionOrder,
+        policy: SelectionPolicy::ProductiveFirstRandom,
         scheme: Some(SchemeSpec::Ddpm),
         tag_bits: None,
         adversary: None,
@@ -277,6 +283,7 @@ fn scale_cells() -> Vec<(String, ScenarioConfig)> {
         fault_retries: 0,
         watchdog: None,
         invariants: false,
+        invariants_selftest_at: None,
         checkpoint: None,
     };
     let mesh = TopologySpec::Mesh {

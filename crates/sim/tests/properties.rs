@@ -139,7 +139,11 @@ proptest! {
         let transcript = |s: u64| {
             let mut sim = Simulation::new(
                 &topo, &faults, Router::MinimalAdaptive, SelectionPolicy::Random,
-                &marker, SimConfig::seeded(s).with_paths(),
+                &marker,
+                SimConfig {
+                    record_paths: true,
+                    ..SimConfig::seeded(s)
+                },
             );
             for k in 0..burst {
                 let a = NodeId((k as u32 * 11 + 1) % 25);

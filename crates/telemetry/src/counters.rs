@@ -1,9 +1,7 @@
 //! The shared per-traffic-class counter block.
 //!
-//! Historically `ddpm-sim` and `ddpm-indirect` each grew a private
-//! counter struct (`ClassStats` vs `MinClassStats`) with diverging
-//! field sets. `ClassCounters` is the single shape both simulators —
-//! and every `exp_*` report — now use.
+//! `ClassCounters` is the one counter shape both simulators
+//! (`ddpm-sim` and `ddpm-indirect`) and every `exp_*` report use.
 
 use crate::metrics::LatencyStats;
 

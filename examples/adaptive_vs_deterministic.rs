@@ -28,7 +28,10 @@ fn run_flow(
         router,
         policy,
         marker,
-        SimConfig::seeded(64).with_paths(),
+        SimConfig {
+            record_paths: true,
+            ..SimConfig::seeded(64)
+        },
     );
     let src = NodeId(0);
     let dst = NodeId(topo.num_nodes() as u32 - 1);
