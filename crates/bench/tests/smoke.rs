@@ -13,12 +13,18 @@ fn every_experiment_runs_quick_and_roundtrips_json() {
         quick: true,
         ..RunCtx::default()
     };
+    // Quick runs write their bench rows under target/: the committed
+    // BENCH_sim_throughput.json keeps its full-scale rows byte for byte.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let committed = root.join("BENCH_sim_throughput.json");
+    let before = std::fs::read(&committed).expect("committed bench rows");
     let mut seen = Vec::new();
     for (key, runner) in all_experiments() {
         let report = runner(&ctx);
         assert_eq!(report.key, key, "registry key must match the report's");
         assert!(!report.title.is_empty(), "{key}: empty title");
         assert!(!report.body.is_empty(), "{key}: empty body");
+        assert!(!report.body.contains("bench rows not merged"), "{key}: {}", report.body);
         assert!(
             !report.json.is_null(),
             "{key}: machine-readable payload missing"
@@ -31,6 +37,14 @@ fn every_experiment_runs_quick_and_roundtrips_json() {
         seen.push(key);
     }
     assert!(seen.len() >= 24, "experiment registry shrank: {seen:?}");
+    assert!(
+        std::fs::read(&committed).expect("committed bench rows") == before,
+        "a quick run rewrote {}",
+        committed.display()
+    );
+    let quick_rows = ctx.bench_rows_path();
+    assert!(quick_rows.starts_with(root.join("target")), "{}", quick_rows.display());
+    assert!(quick_rows.exists(), "quick rows land under target/");
 }
 
 #[test]
@@ -59,35 +73,6 @@ fn quick_tracing_writes_an_ndjson_trace() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A `--quick` run writes its bench rows under `target/`: the
-/// committed `BENCH_sim_throughput.json` keeps its full-scale rows
-/// byte for byte.
-#[test]
-fn quick_scale_leaves_the_committed_bench_rows_alone() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let committed = root.join("BENCH_sim_throughput.json");
-    let before = std::fs::read(&committed).expect("committed bench rows");
-    let ctx = RunCtx {
-        quick: true,
-        ..RunCtx::default()
-    };
-    let (_, runner) = all_experiments()
-        .into_iter()
-        .find(|(k, _)| *k == "scale")
-        .expect("scale experiment registered");
-    let report = runner(&ctx);
-    assert!(!report.body.contains("not merged"), "{}", report.body);
-    assert_eq!(
-        std::fs::read(&committed).expect("committed bench rows"),
-        before,
-        "a quick run rewrote {}",
-        committed.display()
-    );
-    let quick_rows = ctx.bench_rows_path();
-    assert!(quick_rows.starts_with(root.join("target")), "{}", quick_rows.display());
-    assert!(quick_rows.exists(), "quick rows land under target/");
 }
 
 /// Mean serial `telemetry-off` throughput per `(topology, router)` from
