@@ -2168,7 +2168,7 @@ mod tests {
     }
 
     #[test]
-    fn reroute_retry_rides_out_a_transient_fault() {
+    fn stranded_packet_retry_rides_out_a_transient_fault() {
         use ddpm_topology::{FaultEvent, FaultSchedule};
         let topo = Topology::mesh2d(4);
         let faults = FaultSet::none();
@@ -2259,7 +2259,7 @@ mod tests {
     }
 
     #[test]
-    fn inject_retry_waits_out_a_source_switch_outage() {
+    fn injection_retry_waits_out_a_source_switch_outage() {
         use ddpm_topology::{FaultEvent, FaultSchedule};
         let topo = Topology::mesh2d(4);
         let faults = FaultSet::none();
