@@ -185,7 +185,7 @@ pub fn replay(path: &Path) -> Result<Report, String> {
 /// `seed`, so the whole soak is reproducible from `--seed`.
 fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
     let (topology, nodes, mesh2d) = match rng.gen_range(0..5u32) {
-        0 => (json!({"kind": "mesh", "dims": [4, 4]}), 16u64, true),
+        0 => (json!({"kind": "mesh", "dims": [4, 4]}), 16u32, true),
         1 => (json!({"kind": "mesh", "dims": [8, 8]}), 64, true),
         2 => (json!({"kind": "torus", "dims": [4, 4]}), 16, false),
         3 => (json!({"kind": "torus", "dims": [8, 8]}), 64, false),
@@ -205,13 +205,12 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
     // The adversary axis: ~30% of cases compromise 1–2 switches with a
     // behavior drawn from the full grid. Framing behaviors pick an
     // innocent outside the compromised set.
-    let nodes32 = nodes as u32;
     let adversary = rng.gen_bool(0.3).then(|| {
         let behavior = AdversaryBehavior::ALL[rng.gen_range(0..AdversaryBehavior::ALL.len())];
         let count = rng.gen_range(1..=2u32);
-        let switches: Vec<u32> = (0..count).map(|_| rng.gen_range(0..nodes32)).collect();
+        let switches: Vec<u32> = (0..count).map(|_| rng.gen_range(0..nodes)).collect();
         let framed = behavior.needs_framed().then(|| loop {
-            let f = rng.gen_range(0..nodes32);
+            let f = rng.gen_range(0..nodes);
             if !switches.contains(&f) {
                 break f;
             }
@@ -252,7 +251,7 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
         "seed": seed,
         // Every node injects on its own jittered clock, so the
         // per-node interval scales with the node count.
-        "background_interval": nodes * INJECT_EVERY,
+        "background_interval": u64::from(nodes) * INJECT_EVERY,
         "horizon": horizon,
         "fault_schedule": schedule
             .iter()
