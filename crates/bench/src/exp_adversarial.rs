@@ -28,15 +28,13 @@
 //!   value within 3x (calibration rows at t = 4 and t = 8, scored
 //!   against the adversary's own per-packet tamper ground truth).
 
+use crate::grid::{row, run_cell, sixteen_node_topologies, topology};
 use crate::util::{fnum, Report, RunCtx, TextTable};
-use ddpm_attack::AdversaryModel;
-use ddpm_core::build_scheme_with;
-use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
-use ddpm_routing::{Router, SelectionPolicy};
-use ddpm_sim::{AdversaryBehavior, AdversarySpec, SchemeSpec, SimConfig, SimTime, Simulation};
-use ddpm_topology::{FaultSet, NodeId, Topology};
+use ddpm_serve::ScenarioWorld;
+use ddpm_sim::{AdversaryBehavior, Attribution, SchemeSpec};
+use ddpm_topology::NodeId;
 use rayon::prelude::*;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Flooding sources (in range on 16 nodes; paths cross the pool).
 const ZOMBIES: [u32; 2] = [1, 6];
@@ -63,206 +61,141 @@ const COUNTS: [usize; 3] = [1, 2, 4];
 /// 16-node MF budget allows one (`auth-ppm-edge` fits nowhere at 16
 /// nodes and `auth-ppm-xor` mirrors `auth-ddpm`'s containment, so the
 /// grid keeps the three wrappers with distinct inner layouts).
-fn grid_schemes() -> Vec<SchemeSpec> {
-    vec![
-        SchemeSpec::Ddpm,
-        SchemeSpec::Dpm,
-        SchemeSpec::PpmEdge,
-        SchemeSpec::Tracemax,
-        SchemeSpec::AuthDdpm,
-        SchemeSpec::AuthDpm,
-        SchemeSpec::AuthTracemax,
-    ]
-}
-
-/// The 16-node member of each topology family.
-fn topologies() -> Vec<Topology> {
-    vec![
-        Topology::mesh2d(4),
-        Topology::torus(&[4, 4]),
-        Topology::hypercube(4),
-    ]
-}
+const SCHEMES: [SchemeSpec; 7] = [
+    SchemeSpec::Ddpm,
+    SchemeSpec::Dpm,
+    SchemeSpec::PpmEdge,
+    SchemeSpec::Tracemax,
+    SchemeSpec::AuthDdpm,
+    SchemeSpec::AuthDpm,
+    SchemeSpec::AuthTracemax,
+];
 
 /// The shared flood (identical across cells of one run): interleaved
-/// zombie streams on a fixed grid, paced under the port service rate.
-fn flood_schedule(packets_per_zombie: u64) -> Vec<(u64, NodeId)> {
-    let mut out = Vec::new();
-    for (zi, z) in ZOMBIES.iter().enumerate() {
-        for k in 0..packets_per_zombie {
-            out.push((k * 12 + zi as u64 * 6, NodeId(*z)));
-        }
-    }
-    out.sort_unstable();
-    out
+/// zombie streams, each paced at 12 cycles — together under the port
+/// service rate on a shared edge.
+fn flood(packets_per_zombie: u64) -> Value {
+    json!({
+        "kind": "udp_flood",
+        "zombies": ZOMBIES.to_vec(),
+        "victim": VICTIM,
+        "packets_per_zombie": packets_per_zombie,
+        "interval": 12,
+    })
 }
 
-/// One grid cell's measurements.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// True zombies the final attribution implicates (0..=2).
-    pub survival: usize,
-    /// Whether the framed node appears in the candidate set at all.
-    pub framed_implicated: bool,
-    /// Whether the framed node is *convicted* (implicated at or above
-    /// conviction confidence) — the number that must be zero for every
-    /// `auth-*` scheme.
-    pub framed_convicted: bool,
-    /// Collector's final confidence.
-    pub confidence: f64,
-    /// Attack deliveries observed / rejected fail-closed.
-    pub observed: u64,
-    pub rejected: u64,
-    /// Delivered packets the adversary actually touched (ground truth
-    /// from [`AdversaryModel::was_tampered`]).
-    pub tampered_delivered: u64,
-}
-
-/// Runs one (topology, scheme, behavior, switch-count) cell.
-///
-/// # Errors
-/// Propagates the scheme's feasibility wall on this topology.
-pub fn run_cell(
-    topo: &Topology,
+/// One grid cell as a scenario: the shared flood on `topology`, marked
+/// by `spec`, with the first `count` pool switches running `behavior`.
+#[must_use]
+pub fn cell(
+    topology: &Value,
     spec: SchemeSpec,
     behavior: AdversaryBehavior,
     count: usize,
     seed: u64,
-    schedule: &[(u64, NodeId)],
-) -> Result<Cell, String> {
-    let scheme = build_scheme_with(spec, topo, None)?;
-    let switches: Vec<NodeId> = SWITCH_POOL[..count].iter().map(|&s| NodeId(s)).collect();
-    let aspec = AdversarySpec::new(
-        switches,
-        behavior,
-        behavior.needs_framed().then_some(NodeId(FRAMED)),
-        seed ^ 0xADC0_11DE,
-    );
-    let adv = AdversaryModel::new(&*scheme, spec, topo, aspec, None)?;
-
-    let map = AddrMap::for_topology(topo);
-    let faults = FaultSet::none();
-    let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed);
-    let mut sim = Simulation::new(
-        topo,
-        &faults,
-        Router::DimensionOrder,
-        SelectionPolicy::First,
-        &adv,
-        cfg,
-    );
-    for (id, (t, src)) in schedule.iter().enumerate() {
-        sim.schedule(
-            SimTime(*t),
-            Packet {
-                id: PacketId(id as u64),
-                header: Ipv4Header::new(map.ip_of(*src), map.ip_of(victim), Protocol::Udp, 64),
-                l4: L4::udp(999, 53),
-                true_source: *src,
-                dest_node: victim,
-                class: TrafficClass::Attack,
-            },
-        );
-    }
-    sim.run();
-
-    // The victim's view: the honest collector over every delivery, with
-    // tag verification (fail-closed) for the auth-* schemes.
-    let mut coll = scheme.collector(topo, victim);
-    let mut tampered_delivered = 0u64;
-    for d in sim.delivered() {
-        if adv.was_tampered(d.packet.id) {
-            tampered_delivered += 1;
-        }
-        coll.observe_packet(&d.packet);
-    }
-    let att = coll.attribute();
-    let framed = NodeId(FRAMED);
-    Ok(Cell {
-        survival: ZOMBIES
-            .iter()
-            .filter(|&&z| att.implicates(NodeId(z)))
-            .count(),
-        framed_implicated: att.implicates(framed),
-        framed_convicted: att.convicts(framed),
-        confidence: att.confidence,
-        observed: coll.observed(),
-        rejected: coll.rejected(),
-        tampered_delivered,
+    packets_per_zombie: u64,
+) -> Value {
+    json!({
+        "topology": topology.clone(),
+        "router": "dimension_order",
+        "policy": "first",
+        "scheme": spec.as_str(),
+        "adversary": {
+            "switches": SWITCH_POOL[..count].to_vec(),
+            "behavior": behavior.as_str(),
+            "framed": behavior.needs_framed().then_some(FRAMED),
+            "seed": seed ^ 0xADC0_11DE,
+        },
+        "seed": seed,
+        "background_interval": 0,
+        "attack": flood(packets_per_zombie),
     })
 }
 
-/// Tag-forgery acceptance calibration: `auth-ddpm` at an explicit tag
-/// width under the mark-flood behavior, scored against the adversary's
-/// per-packet tamper ground truth. Returns `(tampered, accepted)`:
-/// delivered packets the adversary touched, and how many of those the
-/// victim's verifier nevertheless accepted. The design value is `2^-t`
-/// per packet (at most doubled by the in-flight TTL dual-accept when an
-/// honest switch re-seals a lucky forgery), so the measured rate must
-/// sit within 3x of `2^-t`.
+/// Scores a finished cell from the victim's side: the honest collector
+/// over every delivery, with tag verification (fail-closed) for the
+/// `auth-*` schemes, plus the adversary's own tamper ground truth.
 ///
-/// # Errors
-/// Propagates the tag-width feasibility wall.
-pub fn calibrate(
-    topo: &Topology,
-    tag_bits: u32,
-    packets_per_zombie: u64,
-    seed: u64,
-) -> Result<(u64, u64), String> {
-    let spec = SchemeSpec::AuthDdpm;
-    let scheme = build_scheme_with(spec, topo, Some(tag_bits))?;
-    // Switches 5 and 10 sit on the mesh's two XY flood paths (1->14
-    // crosses 5, 6->14 crosses 10), so *both* streams are tampered and
-    // every delivery exercises the verifier.
-    let aspec = AdversarySpec::new(
-        vec![NodeId(5), NodeId(10)],
-        AdversaryBehavior::MarkFlood,
-        Some(NodeId(FRAMED)),
-        seed ^ u64::from(tag_bits),
-    );
-    let adv = AdversaryModel::new(&*scheme, spec, topo, aspec, Some(tag_bits))?;
+/// The measurements: `survival` (true zombies still implicated),
+/// `framed_implicated`, `framed_convicted` (implicated at conviction
+/// confidence — the number that must be zero for every `auth-*`
+/// scheme), the collector's `confidence`, the attack deliveries it
+/// `observed` and `rejected` fail-closed, and `tampered_delivered`
+/// (deliveries the adversary touched).
+#[must_use]
+pub fn score(world: &ScenarioWorld) -> Value {
+    let a = world.identify(None).expect("the flood names its victim");
+    let att = Attribution {
+        candidates: a.candidates.into_iter().map(NodeId).collect(),
+        confidence: a.confidence,
+    };
+    let framed = NodeId(FRAMED);
+    json!({
+        "framed_implicated": att.implicates(framed),
+        "framed_convicted": att.convicts(framed),
+        "survival": ZOMBIES.iter().filter(|&&z| att.implicates(NodeId(z))).count(),
+        "confidence": att.confidence,
+        "observed": a.observed,
+        "rejected": a.rejected,
+        "tampered_delivered": tampered_delivered(world),
+    })
+}
 
-    let map = AddrMap::for_topology(topo);
-    let faults = FaultSet::none();
-    let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed);
-    let mut sim = Simulation::new(
-        topo,
-        &faults,
-        Router::DimensionOrder,
-        SelectionPolicy::First,
-        &adv,
-        cfg,
-    );
-    for (id, (t, src)) in flood_schedule(packets_per_zombie).iter().enumerate() {
-        sim.schedule(
-            SimTime(*t),
-            Packet {
-                id: PacketId(id as u64),
-                header: Ipv4Header::new(map.ip_of(*src), map.ip_of(victim), Protocol::Udp, 64),
-                l4: L4::udp(999, 53),
-                true_source: *src,
-                dest_node: victim,
-                class: TrafficClass::Attack,
-            },
-        );
-    }
-    sim.run();
+/// Delivered packets some compromised switch misbehaved on. Counts
+/// packets, where the adversary's `total_tampered` counts marks.
+fn tampered_delivered(world: &ScenarioWorld) -> u64 {
+    let adv = world
+        .adversary()
+        .expect("every adversarial cell has an adversary");
+    world
+        .sim()
+        .delivered()
+        .iter()
+        .filter(|d| adv.was_tampered(d.packet.id))
+        .count() as u64
+}
 
-    let mut coll = scheme.collector(topo, victim);
-    let mut tampered = 0u64;
-    for d in sim.delivered() {
-        if adv.was_tampered(d.packet.id) {
-            tampered += 1;
-        }
-        coll.observe_packet(&d.packet);
-    }
+/// A tag-forgery calibration cell: `auth-ddpm` at an explicit tag
+/// width under the mark-flood behavior on the 4x4 mesh. Switches 5 and
+/// 10 sit on the mesh's two flood paths (1->14 crosses 5, 6->14
+/// crosses 10), so *both* streams are tampered and every delivery
+/// exercises the verifier.
+#[must_use]
+pub fn calibration_cell(tag_bits: u32, packets_per_zombie: u64, seed: u64) -> Value {
+    json!({
+        "topology": {"kind": "mesh", "dims": [4, 4]},
+        "router": "dimension_order",
+        "policy": "first",
+        "scheme": "auth-ddpm",
+        "tag_bits": tag_bits,
+        "adversary": {
+            "switches": [5, 10],
+            "behavior": "mark-flood",
+            "framed": FRAMED,
+            "seed": seed ^ u64::from(tag_bits),
+        },
+        "seed": seed,
+        "background_interval": 0,
+        "attack": flood(packets_per_zombie),
+    })
+}
+
+/// Scores a calibration cell against the adversary's per-packet tamper
+/// ground truth. Returns `(tampered, accepted)`: delivered packets the
+/// adversary touched, and how many of those the victim's verifier
+/// nevertheless accepted. The design value is `2^-t` per tag check.
+/// An honest switch that rejects a forged tag leaves it in place, so
+/// every honest hop after the compromised ones checks it again against
+/// two TTL values: the measured rate sits above `2^-t`, and the
+/// committed bound is 3x.
+#[must_use]
+pub fn forgery_acceptance(world: &ScenarioWorld) -> (u64, u64) {
+    let tampered = tampered_delivered(world);
     // Honest streams verify completely (the bake-off pins that), so
     // every rejection is a tampered packet: the accepted remainder is
     // the realized forgery acceptance.
-    let accepted = tampered.saturating_sub(coll.rejected());
-    Ok((tampered, accepted))
+    let rejected = world.identify(None).expect("the flood names its victim").rejected;
+    (tampered, tampered.saturating_sub(rejected))
 }
 
 /// Runs the adversarial grid.
@@ -270,8 +203,6 @@ pub fn calibrate(
 pub fn run(ctx: &RunCtx) -> Report {
     let seed = ctx.seed_or(0xADC0);
     let ppz = ctx.scaled(160);
-    let schedule = flood_schedule(ppz);
-    let framed = NodeId(FRAMED);
 
     let mut body = format!(
         "Grid: 16-node mesh/torus/hypercube x {} schemes x {} behaviors x \
@@ -279,49 +210,39 @@ pub fn run(ctx: &RunCtx) -> Report {
          framed innocent {FRAMED}, {ppz} packets per zombie (seed {seed}).\n\
          `convicted` = the victim's quorum collector implicates the framed node at \
          conviction confidence; `survival` = true zombies still named.\n\n",
-        grid_schemes().len(),
+        SCHEMES.len(),
         AdversaryBehavior::ALL.len(),
         SWITCH_POOL,
         ZOMBIES,
     );
 
-    // Every grid cell is an independent seeded run, so the sweep fans
-    // out on the rayon pool. Feasibility is decided up front (cheap and
-    // deterministic), jobs mirror the serial iteration order, and
-    // `par_iter` collects in that order — the assembled report (tables
-    // and JSON alike) is byte-identical to the serial sweep.
-    let topos = topologies();
-    let mut jobs = Vec::new();
-    for (ti, topo) in topos.iter().enumerate() {
-        for spec in grid_schemes() {
-            if build_scheme_with(spec, topo, None).is_err() {
-                continue;
-            }
+    // Every grid cell is an independent seeded scenario, so the sweep
+    // fans out on the rayon pool; `par_iter` collects in cell order, so
+    // the assembled report (tables and JSON alike) is byte-identical to
+    // the serial sweep. A scheme whose MF budget rejects a topology
+    // fails every one of its cells at world build, cheaply.
+    let topos = sixteen_node_topologies();
+    let mut cells = Vec::new();
+    for topo in &topos {
+        for spec in SCHEMES {
             for behavior in AdversaryBehavior::ALL {
                 for (ci, &count) in COUNTS.iter().enumerate() {
-                    jobs.push((ti, spec, behavior, ci, count));
+                    let cell_seed = seed.wrapping_add(ci as u64);
+                    cells.push(cell(topo, spec, behavior, count, cell_seed, ppz));
                 }
             }
         }
     }
-    let computed: Vec<Cell> = jobs
+    let computed: Vec<Result<Value, String>> = cells
         .par_iter()
-        .map(|&(ti, spec, behavior, ci, count)| {
-            run_cell(
-                &topos[ti],
-                spec,
-                behavior,
-                count,
-                seed.wrapping_add(ci as u64),
-                &schedule,
-            )
-            .expect("feasibility checked above")
-        })
+        .map(|c| run_cell(c).map(|world| score(&world)))
         .collect();
-    let mut computed = computed.into_iter();
+    let per_scheme = AdversaryBehavior::ALL.len() * COUNTS.len();
+    let mut outcomes = cells.iter().zip(&computed);
 
     let mut jrows = Vec::new();
     for topo in &topos {
+        let topo = topology(topo).describe();
         let mut t = TextTable::new(&[
             "scheme",
             "behavior",
@@ -329,57 +250,52 @@ pub fn run(ctx: &RunCtx) -> Report {
             "survival @1/2/4",
             "rejected @1/2/4",
         ]);
-        for spec in grid_schemes() {
+        for spec in SCHEMES {
+            let scheme: Vec<_> = outcomes.by_ref().take(per_scheme).collect();
             // Feasibility walls are grid facts, not missing rows.
-            if let Err(e) = build_scheme_with(spec, topo, None) {
-                t.row(&[
-                    spec.as_str().to_string(),
-                    "-".into(),
-                    "infeasible".into(),
-                    "-".into(),
-                    "-".into(),
-                ]);
+            if let (scenario, Err(e)) = scheme[0] {
+                t.row_strs(&[spec.as_str(), "-", "infeasible", "-", "-"]);
                 jrows.push(json!({
-                    "topology": topo.describe(),
+                    "topology": topo,
                     "scheme": spec.as_str(),
                     "infeasible": e,
+                    "scenario": scenario.clone(),
                 }));
                 continue;
             }
-            for behavior in AdversaryBehavior::ALL {
-                let mut convicted = Vec::new();
-                let mut survival = Vec::new();
-                let mut rejected = Vec::new();
-                for &count in &COUNTS {
-                    let cell = computed.next().expect("one computed cell per job");
-                    convicted.push(cell.framed_convicted);
-                    survival.push(cell.survival);
-                    rejected.push(cell.rejected);
-                    jrows.push(json!({
-                        "topology": topo.describe(),
+            for (&behavior, by_count) in AdversaryBehavior::ALL
+                .iter()
+                .zip(scheme.chunks(COUNTS.len()))
+            {
+                let expect = "a feasible scheme runs every cell";
+                let measured: Vec<&Value> = by_count
+                    .iter()
+                    .map(|(_, m)| m.as_ref().expect(expect))
+                    .collect();
+                for ((&count, (scenario, _)), m) in COUNTS.iter().zip(by_count).zip(&measured) {
+                    let labels = json!({
+                        "topology": topo,
                         "scheme": spec.as_str(),
                         "behavior": behavior.as_str(),
                         "switches": count,
-                        "framed_implicated": cell.framed_implicated,
-                        "framed_convicted": cell.framed_convicted,
-                        "survival": cell.survival,
-                        "confidence": cell.confidence,
-                        "observed": cell.observed,
-                        "rejected": cell.rejected,
-                        "tampered_delivered": cell.tampered_delivered,
-                    }));
+                        "scenario": (*scenario).clone(),
+                    });
+                    jrows.push(row(labels, m));
                 }
-                let fmt3 = |v: &[String]| v.join("/");
+                let column = |key: &str| {
+                    let values: Vec<String> = measured.iter().map(|m| m[key].to_string()).collect();
+                    values.join("/")
+                };
                 t.row(&[
                     spec.as_str().to_string(),
                     behavior.as_str().to_string(),
-                    fmt3(&convicted.iter().map(ToString::to_string).collect::<Vec<_>>()),
-                    fmt3(&survival.iter().map(ToString::to_string).collect::<Vec<_>>()),
-                    fmt3(&rejected.iter().map(ToString::to_string).collect::<Vec<_>>()),
+                    column("framed_convicted"),
+                    column("survival"),
+                    column("rejected"),
                 ]);
             }
         }
-        body.push_str(&format!("{}:\n{}\n", topo.describe(), t.render()));
+        body.push_str(&format!("{topo}:\n{}\n", t.render()));
     }
 
     // Forgery-acceptance calibration against the 2^-t design value.
@@ -392,10 +308,10 @@ pub fn run(ctx: &RunCtx) -> Report {
         "design 2^-t",
     ]);
     let mut jcal = Vec::new();
-    let topo = Topology::mesh2d(4);
     for tag_bits in [4u32, 8] {
+        let scenario = calibration_cell(tag_bits, cal_ppz, seed);
         let (tampered, accepted) =
-            calibrate(&topo, tag_bits, cal_ppz, seed).expect("auth-ddpm fits a 4x4 mesh");
+            forgery_acceptance(&run_cell(&scenario).expect("auth-ddpm fits a 4x4 mesh"));
         let rate = if tampered == 0 {
             0.0
         } else {
@@ -415,6 +331,7 @@ pub fn run(ctx: &RunCtx) -> Report {
             "accepted": accepted,
             "measured_rate": rate,
             "design_rate": design,
+            "scenario": scenario,
         }));
     }
     body.push_str(&format!(
@@ -438,7 +355,7 @@ pub fn run(ctx: &RunCtx) -> Report {
             "seed": seed,
             "zombies": ZOMBIES.to_vec(),
             "victim": VICTIM,
-            "framed": framed.0,
+            "framed": FRAMED,
             "switch_pool": SWITCH_POOL.to_vec(),
             "packets_per_zombie": ppz,
             "grid": jrows,
@@ -515,9 +432,9 @@ mod tests {
     /// at full sample sizes (the committed acceptance bound).
     #[test]
     fn forgery_acceptance_tracks_the_design_rate() {
-        let topo = Topology::mesh2d(4);
         for (tag_bits, ppz) in [(4u32, 800u64), (8, 3000)] {
-            let (tampered, accepted) = calibrate(&topo, tag_bits, ppz, 7).unwrap();
+            let world = run_cell(&calibration_cell(tag_bits, ppz, 7)).unwrap();
+            let (tampered, accepted) = forgery_acceptance(&world);
             assert!(
                 tampered > ppz,
                 "both zombie streams cross the evil pool: {tampered}"

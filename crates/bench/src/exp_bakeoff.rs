@@ -24,105 +24,65 @@
 //!
 //! [`MarkingScheme`]: ddpm_sim::MarkingScheme
 
+use crate::grid::{row, run_cell, sixteen_node_topologies, topology};
 use crate::util::{fnum, Report, RunCtx, TextTable};
-use ddpm_core::build_scheme;
-use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
-use ddpm_routing::{Router, SelectionPolicy};
-use ddpm_sim::{SchemeSpec, SimConfig, SimTime, Simulation};
-use ddpm_topology::{FaultSet, NodeId, Topology};
+use ddpm_serve::ScenarioWorld;
+use ddpm_sim::SchemeSpec;
+use ddpm_topology::NodeId;
 use rayon::prelude::*;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Flooding sources shared by every run (in range on 16 nodes).
 const ZOMBIES: [u32; 2] = [3, 5];
 /// Flood target shared by every run.
 const VICTIM: u32 = 14;
 
-/// One scheme's measured line on one topology.
-#[derive(Clone, Debug)]
-pub struct SchemeRow {
-    /// Scheme name (`Marker::name`).
-    pub scheme: &'static str,
-    /// MF bits the scheme's layout occupies.
-    pub mf_bits: u32,
-    /// Per-hop switch cost, rendered (`"1w+2a"`, `"3w+1a+rng"`, …).
-    pub cost: String,
-    /// Deliveries until the candidate set covered every zombie
-    /// (`None` = never, e.g. the no-marking baseline).
-    pub packets_to_identify: Option<u64>,
-    /// Final candidate-set size.
-    pub candidates: usize,
-    /// Fraction of the final candidates that are not true zombies.
-    pub false_rate: f64,
-    /// Collector's final confidence.
-    pub confidence: f64,
-    /// Attack deliveries the collector observed in total.
-    pub observed: u64,
+/// One (topology, scheme) cell as a scenario: `packets_per_zombie`
+/// packets from each zombie to the victim on an otherwise idle fabric,
+/// identical across schemes by construction — only the marker differs
+/// between cells.
+///
+/// Each zombie sends every 12 cycles, so the combined rate on any
+/// shared edge stays under the port service rate: the comparison
+/// measures what each *collector* extracts from the same deliveries,
+/// so contention must not silently starve one zombie's stream (on the
+/// hypercube both DOR paths share the victim's ingress edge).
+#[must_use]
+pub fn cell(topology: &Value, spec: SchemeSpec, seed: u64, packets_per_zombie: u64) -> Value {
+    json!({
+        "topology": topology.clone(),
+        "router": "dimension_order",
+        "policy": "first",
+        "scheme": spec.as_str(),
+        "seed": seed,
+        "background_interval": 0,
+        "attack": {
+            "kind": "udp_flood",
+            "zombies": ZOMBIES.to_vec(),
+            "victim": VICTIM,
+            "packets_per_zombie": packets_per_zombie,
+            "interval": 12,
+        },
+    })
 }
 
-/// The shared flood: `packets_per_zombie` packets from each zombie to
-/// the victim, interleaved on a fixed injection grid. Identical across
-/// schemes by construction — only the marker differs between runs.
+/// Scores a finished cell: the victim's collector replays the
+/// deliveries in order, noting when its candidate set first covers
+/// every zombie.
 ///
-/// The combined rate on any shared edge is one packet per 6 cycles,
-/// under the 4-cycle port service rate: the comparison measures what
-/// each *collector* extracts from the same deliveries, so contention
-/// must not silently starve one zombie's stream (on the hypercube both
-/// DOR paths share the victim's ingress edge).
-fn flood_schedule(packets_per_zombie: u64) -> Vec<(u64, NodeId)> {
-    let mut out = Vec::new();
-    for (zi, z) in ZOMBIES.iter().enumerate() {
-        for k in 0..packets_per_zombie {
-            out.push((k * 12 + zi as u64 * 6, NodeId(*z)));
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Runs one scheme over the shared flood on `topo`.
-///
-/// # Errors
-/// Propagates [`build_scheme`]'s message when the scheme's MF budget
-/// rejects the topology.
-pub fn run_scheme(
-    topo: &Topology,
-    spec: SchemeSpec,
-    seed: u64,
-    schedule: &[(u64, NodeId)],
-) -> Result<SchemeRow, String> {
-    let scheme = build_scheme(spec, topo)?;
-    let map = AddrMap::for_topology(topo);
-    let faults = FaultSet::none();
-    let victim = NodeId(VICTIM);
-    let cfg = SimConfig::seeded(seed);
-    let mut sim = Simulation::new(
-        topo,
-        &faults,
-        Router::DimensionOrder,
-        SelectionPolicy::First,
-        &*scheme,
-        cfg,
-    );
-    for (id, (t, src)) in schedule.iter().enumerate() {
-        sim.schedule(
-            SimTime(*t),
-            Packet {
-                id: PacketId(id as u64),
-                header: Ipv4Header::new(map.ip_of(*src), map.ip_of(victim), Protocol::Udp, 64),
-                l4: L4::udp(999, 53),
-                true_source: *src,
-                dest_node: victim,
-                class: TrafficClass::Attack,
-            },
-        );
-    }
-    sim.run();
-
+/// The measurements: the scheme's static price (`mf_bits`,
+/// `per_hop_cost`), `packets_to_identify` (deliveries until the
+/// candidate set covered every zombie; null = never), the final
+/// `candidates` count, `false_attribution_rate` (the fraction of
+/// candidates that are not true zombies), `confidence`, and the attack
+/// deliveries `observed`.
+#[must_use]
+pub fn score(world: &ScenarioWorld) -> Value {
+    let scheme = world.scheme();
     let zombies: Vec<NodeId> = ZOMBIES.iter().map(|&z| NodeId(z)).collect();
-    let mut collector = scheme.collector(topo, victim);
+    let mut collector = scheme.collector(world.topology(), NodeId(VICTIM));
     let mut packets_to_identify = None;
-    for d in sim.delivered() {
+    for d in world.sim().delivered() {
         // observe_packet, not observe: the auth-* collectors verify the
         // delivered header's keyed tag (an honest run passes); everyone
         // else defaults to plain field observation.
@@ -145,26 +105,25 @@ pub fn run_scheme(
     } else {
         wrong as f64 / att.candidates.len() as f64
     };
-    Ok(SchemeRow {
-        scheme: scheme.name(),
-        mf_bits: scheme.mf_bits(),
-        cost: scheme.per_hop_cost().describe(),
-        packets_to_identify,
-        candidates: att.candidates.len(),
-        false_rate,
-        confidence: att.confidence,
-        observed: collector.observed(),
+    json!({
+        "scheme": scheme.name(),
+        "mf_bits": scheme.mf_bits(),
+        "per_hop_cost": scheme.per_hop_cost().describe(),
+        "packets_to_identify": packets_to_identify,
+        "candidates": att.candidates.len(),
+        "false_attribution_rate": false_rate,
+        "confidence": att.confidence,
+        "observed": collector.observed(),
     })
 }
 
-/// The topologies the bake-off sweeps: one 16-node member per family.
-#[must_use]
-pub fn topologies() -> Vec<Topology> {
-    vec![
-        Topology::mesh2d(4),
-        Topology::torus(&[4, 4]),
-        Topology::hypercube(4),
-    ]
+/// Runs one cell and scores it.
+///
+/// # Errors
+/// The scheme's feasibility wall when its MF budget rejects the
+/// topology.
+pub fn measure(cell: &Value) -> Result<Value, String> {
+    run_cell(cell).map(|world| score(&world))
 }
 
 /// Runs the bake-off.
@@ -172,7 +131,6 @@ pub fn topologies() -> Vec<Topology> {
 pub fn run(ctx: &RunCtx) -> Report {
     let seed = ctx.seed_or(2004);
     let ppz = ctx.scaled(200);
-    let schedule = flood_schedule(ppz);
     let mut body = format!(
         "Identical seeded flood per topology: zombies {:?} -> victim {VICTIM}, \
          {ppz} packets each, dimension-order routing (seed {seed}).\n\
@@ -180,19 +138,21 @@ pub fn run(ctx: &RunCtx) -> Report {
          every zombie.\n\n",
         ZOMBIES,
     );
-    // Every (topology, scheme) cell is an independent seeded run, so
-    // the grid fans out on the rayon pool; `par_iter` collects in job
-    // order, so the report (tables and JSON alike) is byte-identical
-    // to the serial sweep.
-    let topos = topologies();
-    let jobs: Vec<(usize, SchemeSpec)> = (0..topos.len())
-        .flat_map(|ti| SchemeSpec::ALL.iter().map(move |&spec| (ti, spec)))
+    // Every (topology, scheme) cell is an independent seeded scenario,
+    // so the grid fans out on the rayon pool; `par_iter` collects in
+    // cell order, so the report (tables and JSON alike) is
+    // byte-identical to the serial sweep.
+    let topos = sixteen_node_topologies();
+    let cells: Vec<Value> = topos
+        .iter()
+        .flat_map(|t| {
+            SchemeSpec::ALL
+                .iter()
+                .map(move |&spec| cell(t, spec, seed, ppz))
+        })
         .collect();
-    let cells: Vec<Result<SchemeRow, String>> = jobs
-        .par_iter()
-        .map(|&(ti, spec)| run_scheme(&topos[ti], spec, seed, &schedule))
-        .collect();
-    let mut cells = cells.into_iter();
+    let rows: Vec<Result<Value, String>> = cells.par_iter().map(measure).collect();
+    let mut outcomes = cells.into_iter().zip(rows);
     let mut jtopos = Vec::new();
     for topo in &topos {
         let mut t = TextTable::new(&[
@@ -209,45 +169,36 @@ pub fn run(ctx: &RunCtx) -> Report {
             // A scheme whose MF budget rejects this topology is a
             // recorded feasibility wall, not a missing row: auth-*
             // variants pay tag bits out of the same 16-bit field.
-            match cells.next().expect("one cell per job") {
-                Ok(row) => {
-                    t.row(&[
-                        row.scheme.to_string(),
-                        row.mf_bits.to_string(),
-                        row.cost.clone(),
-                        row.packets_to_identify
-                            .map_or_else(|| "never".into(), |n| n.to_string()),
-                        row.candidates.to_string(),
-                        fnum(row.false_rate),
-                        fnum(row.confidence),
-                    ]);
-                    jrows.push(json!({
-                        "scheme": row.scheme,
-                        "mf_bits": row.mf_bits,
-                        "per_hop_cost": row.cost,
-                        "packets_to_identify": row.packets_to_identify,
-                        "candidates": row.candidates,
-                        "false_attribution_rate": row.false_rate,
-                        "confidence": row.confidence,
-                        "observed": row.observed,
-                    }));
-                }
-                Err(e) => {
+            let (scenario, measured) = outcomes.next().expect("one row per cell");
+            match measured {
+                Ok(m) => {
+                    let num = |key: &str| m[key].as_f64().expect("a measured number");
                     t.row(&[
                         spec.as_str().to_string(),
-                        "-".into(),
-                        "infeasible".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
+                        m["mf_bits"].to_string(),
+                        m["per_hop_cost"].as_str().expect("a cost").to_string(),
+                        m["packets_to_identify"]
+                            .as_u64()
+                            .map_or_else(|| "never".into(), |n| n.to_string()),
+                        m["candidates"].to_string(),
+                        fnum(num("false_attribution_rate")),
+                        fnum(num("confidence")),
                     ]);
-                    jrows.push(json!({"scheme": spec.as_str(), "infeasible": e}));
+                    jrows.push(row(json!({"scenario": scenario}), &m));
+                }
+                Err(e) => {
+                    t.row_strs(&[spec.as_str(), "-", "infeasible", "-", "-", "-", "-"]);
+                    jrows.push(json!({
+                        "scheme": spec.as_str(),
+                        "infeasible": e,
+                        "scenario": scenario,
+                    }));
                 }
             }
         }
-        body.push_str(&format!("{}:\n{}\n", topo.describe(), t.render()));
-        jtopos.push(json!({"topology": topo.describe(), "rows": jrows}));
+        let topo = topology(topo).describe();
+        body.push_str(&format!("{topo}:\n{}\n", t.render()));
+        jtopos.push(json!({"topology": topo, "rows": jrows}));
     }
     body.push_str(
         "DDPM and tracemax identify from the first packet per zombie; DPM needs\n\
@@ -275,27 +226,26 @@ mod tests {
 
     #[test]
     fn deterministic_schemes_identify_immediately() {
-        let schedule = flood_schedule(40);
-        for topo in topologies() {
+        for topo in sixteen_node_topologies() {
             for spec in [SchemeSpec::Ddpm, SchemeSpec::Tracemax] {
-                let row = run_scheme(&topo, spec, 7, &schedule).unwrap();
+                let row = measure(&cell(&topo, spec, 7, 40)).unwrap();
                 // One packet from each zombie suffices; the second
                 // zombie's first delivery closes the set.
-                let n = row.packets_to_identify.expect("must identify");
+                let n = row["packets_to_identify"].as_u64().expect("must identify");
                 assert!(n <= 4, "{spec:?} on {topo}: {n} packets");
-                assert_eq!(row.candidates, 2, "{spec:?} on {topo}");
-                assert_eq!(row.false_rate, 0.0, "{spec:?} on {topo}");
+                assert_eq!(row["candidates"], 2, "{spec:?} on {topo}");
+                assert_eq!(row["false_attribution_rate"], 0.0, "{spec:?} on {topo}");
             }
         }
     }
 
     #[test]
     fn no_marking_never_identifies() {
-        let schedule = flood_schedule(10);
-        let row = run_scheme(&topologies()[0], SchemeSpec::None, 7, &schedule).unwrap();
-        assert_eq!(row.packets_to_identify, None);
-        assert_eq!(row.candidates, 0);
-        assert_eq!(row.mf_bits, 0);
+        let mesh = &sixteen_node_topologies()[0];
+        let row = measure(&cell(mesh, SchemeSpec::None, 7, 10)).unwrap();
+        assert!(row["packets_to_identify"].is_null(), "{row}");
+        assert_eq!(row["candidates"], 0);
+        assert_eq!(row["mf_bits"], 0);
     }
 
     #[test]
@@ -328,12 +278,11 @@ mod tests {
 
     #[test]
     fn ppm_converges_slower_than_ddpm() {
-        let schedule = flood_schedule(200);
-        let topo = Topology::mesh2d(4);
-        let ddpm = run_scheme(&topo, SchemeSpec::Ddpm, 7, &schedule).unwrap();
-        let ppm = run_scheme(&topo, SchemeSpec::PpmEdge, 7, &schedule).unwrap();
-        let d = ddpm.packets_to_identify.unwrap();
-        if let Some(p) = ppm.packets_to_identify {
+        let mesh = &sixteen_node_topologies()[0];
+        let ddpm = measure(&cell(mesh, SchemeSpec::Ddpm, 7, 200)).unwrap();
+        let ppm = measure(&cell(mesh, SchemeSpec::PpmEdge, 7, 200)).unwrap();
+        let d = ddpm["packets_to_identify"].as_u64().unwrap();
+        if let Some(p) = ppm["packets_to_identify"].as_u64() {
             assert!(p > d, "probabilistic ({p}) vs deterministic ({d})");
         } // else: did not converge in the horizon — even slower.
     }

@@ -21,7 +21,7 @@ use ddpm_attack::{AdversaryModel, PacketFactory};
 use ddpm_core::auth::MIN_TAG_BITS;
 use ddpm_core::scheme::DEFAULT_AUTH_KEY;
 use ddpm_core::{Authenticated, DdpmScheme};
-use ddpm_net::{AddrMap, CodecMode, L4};
+use ddpm_net::{AddrMap, CodecMode, MarkingField, Packet, L4};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{
     AdversaryBehavior, AdversarySpec, Delivered, Marker, MarkingScheme, SchemeSpec, SimConfig,
@@ -57,6 +57,7 @@ fn run_flow(topo: &Topology, marker: &dyn Marker) -> Vec<Delivered> {
     sim.into_delivered()
 }
 
+#[derive(Default)]
 struct Outcome {
     correct: u64,
     misattributed: u64,
@@ -66,80 +67,23 @@ struct Outcome {
     convicted: Option<bool>,
 }
 
-/// Feeds the delivered packets to the adversary-wrapped scheme's own
-/// collector (what the victim actually runs) and reports whether the
-/// framed node ends up convicted at quorum confidence.
-fn quorum_convicts(
-    adv: &AdversaryModel<'_>,
-    topo: &Topology,
-    victim: NodeId,
+/// Scores every delivery with `decode` — the victim's single-packet
+/// identification, `None` when it fails closed.
+fn score(
     delivered: &[Delivered],
+    decode: &dyn Fn(&Packet) -> Option<NodeId>,
     framed: NodeId,
-) -> bool {
-    let mut coll = adv.collector(topo, victim);
-    for d in delivered {
-        coll.observe_packet(&d.packet);
-    }
-    coll.attribute().convicts(framed)
-}
-
-fn score_plain(
-    topo: &Topology,
-    scheme: &DdpmScheme,
-    delivered: &[Delivered],
-    framed: Option<NodeId>,
 ) -> Outcome {
-    let mut o = Outcome {
-        correct: 0,
-        misattributed: 0,
-        framed_hits: 0,
-        rejected: 0,
-        convicted: None,
-    };
+    let mut o = Outcome::default();
     for d in delivered {
-        let dest = topo.coord(d.packet.dest_node);
-        match scheme.identify(topo, &dest, d.packet.header.identification) {
-            Some(src) if topo.index(&src) == d.packet.true_source => o.correct += 1,
+        match decode(&d.packet) {
+            Some(src) if src == d.packet.true_source => o.correct += 1,
             Some(src) => {
                 o.misattributed += 1;
-                if framed == Some(topo.index(&src)) {
+                if src == framed {
                     o.framed_hits += 1;
                 }
             }
-            None => o.rejected += 1,
-        }
-    }
-    o
-}
-
-fn score_auth(
-    topo: &Topology,
-    auth: &Authenticated<DdpmScheme>,
-    delivered: &[Delivered],
-    framed: Option<NodeId>,
-) -> Outcome {
-    let mut o = Outcome {
-        correct: 0,
-        misattributed: 0,
-        framed_hits: 0,
-        rejected: 0,
-        convicted: None,
-    };
-    for d in delivered {
-        let dest = topo.coord(d.packet.dest_node);
-        // Victim-side verification first (fail closed), then the inner
-        // decode on the verified field only.
-        match auth.verify_delivered(&d.packet) {
-            Some(mf) => match auth.inner().identify(topo, &dest, mf) {
-                Some(src) if topo.index(&src) == d.packet.true_source => o.correct += 1,
-                Some(src) => {
-                    o.misattributed += 1;
-                    if framed == Some(topo.index(&src)) {
-                        o.framed_hits += 1;
-                    }
-                }
-                None => o.rejected += 1,
-            },
             None => o.rejected += 1,
         }
     }
@@ -212,20 +156,10 @@ pub fn run(_ctx: &RunCtx) -> Report {
         }));
     };
 
-    // Plain DDPM: damage.
+    // The victim's decoders. Plain DDPM decodes every field; auth-ddpm
+    // verifies the keyed tag first (fail closed), then decodes the
+    // verified field only.
     let plain = DdpmScheme::new(&topo).expect("8x8 mesh fits DDPM");
-    for behavior in [AdversaryBehavior::Skip, AdversaryBehavior::Frame] {
-        let adv = AdversaryModel::new(&plain, SchemeSpec::Ddpm, &topo, spec(behavior), None)
-            .expect("valid adversary");
-        let d = run_flow(&topo, &adv);
-        let mut o = score_plain(&topo, &plain, &d, Some(framed));
-        if behavior.needs_framed() {
-            o.convicted = Some(quorum_convicts(&adv, &topo, victim, &d, framed));
-        }
-        push(&mut t, "ddpm", behavior.as_str(), &o);
-    }
-
-    // Authenticated DDPM: containment.
     let auth = Authenticated::new(
         DdpmScheme::new(&topo).expect("8x8 mesh fits DDPM"),
         "auth-ddpm",
@@ -233,23 +167,38 @@ pub fn run(_ctx: &RunCtx) -> Report {
         TAG_BITS,
     )
     .expect("8 spare bits fit an 8-bit tag");
+    let identify = |scheme: &DdpmScheme, p: &Packet, mf: MarkingField| {
+        let src = scheme.identify(&topo, &topo.coord(p.dest_node), mf)?;
+        Some(topo.index(&src))
+    };
+    let decode_plain = |p: &Packet| identify(&plain, p, p.header.identification);
+    let decode_auth =
+        |p: &Packet| auth.verify_delivered(p).and_then(|mf| identify(auth.inner(), p, mf));
+    // Plain DDPM measures the damage, auth-ddpm the containment.
+    type Decoder<'a> = &'a dyn Fn(&Packet) -> Option<NodeId>;
+    let runs: [(&dyn MarkingScheme, SchemeSpec, Option<u32>, Decoder); 2] = [
+        (&plain, SchemeSpec::Ddpm, None, &decode_plain),
+        (&auth, SchemeSpec::AuthDdpm, Some(TAG_BITS), &decode_auth),
+    ];
     let mut auth_framed_hits = 0;
-    for behavior in [AdversaryBehavior::Skip, AdversaryBehavior::Frame] {
-        let adv = AdversaryModel::new(
-            &auth,
-            SchemeSpec::AuthDdpm,
-            &topo,
-            spec(behavior),
-            Some(TAG_BITS),
-        )
-        .expect("valid adversary");
-        let d = run_flow(&topo, &adv);
-        let mut o = score_auth(&topo, &auth, &d, Some(framed));
-        if behavior.needs_framed() {
-            o.convicted = Some(quorum_convicts(&adv, &topo, victim, &d, framed));
-            auth_framed_hits = o.framed_hits;
+    for (scheme, scheme_spec, tag_bits, decode) in runs {
+        for behavior in [AdversaryBehavior::Skip, AdversaryBehavior::Frame] {
+            let adv = AdversaryModel::new(scheme, scheme_spec, &topo, spec(behavior), tag_bits)
+                .expect("valid adversary");
+            let d = run_flow(&topo, &adv);
+            let mut o = score(&d, decode, framed);
+            if behavior.needs_framed() {
+                // The victim's own quorum collector over the same
+                // deliveries: is the framed node convicted?
+                let mut coll = adv.collector(&topo, victim);
+                d.iter().for_each(|x| coll.observe_packet(&x.packet));
+                o.convicted = Some(coll.attribute().convicts(framed));
+                if scheme_spec.is_auth() {
+                    auth_framed_hits = o.framed_hits;
+                }
+            }
+            push(&mut t, scheme_spec.as_str(), behavior.as_str(), &o);
         }
-        push(&mut t, "auth-ddpm", behavior.as_str(), &o);
     }
 
     let mut cap = TextTable::new(&["tag bits", "forgery acceptance", "max square mesh"]);

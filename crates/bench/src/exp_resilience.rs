@@ -15,22 +15,20 @@
 //! receives still identifies its true source exactly, while the typed
 //! fault-drop counters account for every loss.
 
-use crate::util::{RunCtx, fnum, Report, TextTable};
-use ddpm_attack::PacketFactory;
+use crate::grid::{churn_schedule, row, run_cell, topology};
+use crate::util::{fnum, Report, RunCtx, TextTable};
 use ddpm_core::DdpmScheme;
-use ddpm_net::{AddrMap, L4};
-use ddpm_routing::{Router, SelectionPolicy};
-use ddpm_sim::{InvariantConfig, RetryPolicy, SimConfig, SimTime, Simulation};
-use ddpm_topology::{ChurnConfig, FaultSchedule, FaultSet, NodeId, Topology};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use ddpm_serve::ScenarioWorld;
+use ddpm_topology::ChurnConfig;
 use rayon::prelude::*;
-use serde_json::json;
+use serde_json::{json, Value};
 
 /// Packets injected per run.
 const PACKETS: u64 = 1200;
-/// Injection cadence in cycles.
+/// Network-wide cycles between benign injections.
 const INJECT_EVERY: u64 = 3;
+/// Injection/reroute retry budget of the graceful-degradation runs.
+const RETRIES: u32 = 6;
 
 /// One churn intensity level of the sweep.
 #[derive(Clone, Copy, Debug)]
@@ -58,127 +56,104 @@ const LEVELS: [ChurnLevel; 3] = [
     },
 ];
 
-/// Measurements from one (topology, router, churn, retry-mode) run.
-#[derive(Clone, Debug)]
-struct RunOutcome {
-    delivered: u64,
-    injected: u64,
-    fault_drops: u64,
-    misattributed: u64,
-    window_ratio: f64,
-    recovery_mean: Option<f64>,
-    degraded_cycles: u64,
-    fault_events: u64,
-    violations: u64,
-}
-
-/// One sweep cell: the same churn schedule with retries on and off.
-#[derive(Clone, Debug)]
-struct Cell {
-    topo: String,
-    router: &'static str,
-    churn: &'static str,
-    tolerant: RunOutcome,
-    brittle: RunOutcome,
-}
-
-fn run_once(
-    topo: &Topology,
-    router: Router,
+/// One sweep run as a scenario: about `packets` benign packets between
+/// uniformly random node pairs under `level`'s link/switch churn, with
+/// `retries` injection/reroute retries (0 = fail-fast). The churn is
+/// drawn from `seed` alone, so both retry modes of a cell face the
+/// identical fault schedule and workload.
+fn cell(
+    topology: &Value,
+    router: &str,
     level: ChurnLevel,
-    retries: u32,
     seed: u64,
     packets: u64,
-) -> RunOutcome {
-    let scheme = DdpmScheme::new(topo).expect("sweep topologies fit the field");
-    let map = AddrMap::for_topology(topo);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    retries: u32,
+) -> Value {
+    let horizon = packets * INJECT_EVERY;
     let churn = ChurnConfig {
-        horizon: packets * INJECT_EVERY,
+        horizon,
         period: 250,
         link_rate: level.link_rate,
         switch_rate: level.switch_rate,
         down_time: 400,
     };
-    let schedule = FaultSchedule::churn(topo, &churn, || rng.gen::<f64>());
-    // Recording (not strict) so the whole sweep doubles as an invariant
-    // audit: violations are tallied into the report instead of aborting.
-    let base = SimConfig::seeded(seed ^ 0x5EED);
-    let cfg = SimConfig {
-        invariants: InvariantConfig::recording(),
-        retry: if retries > 0 {
-            RetryPolicy::capped(retries, base.service_cycles.max(1), 256)
-        } else {
-            RetryPolicy::OFF
-        },
-        ..base
-    };
-    let faults = FaultSet::none();
-    // Productive-first selection. Since PR 3 `SelectionPolicy::Random`
-    // self-upgrades to productive-first on turn-model routers (see
-    // `SelectionPolicy::pick_for`), so this pin is belt-and-braces: the
-    // sweep measures resilience, not selection-policy variance.
-    let mut sim = Simulation::new(
-        topo,
-        &faults,
-        router,
-        SelectionPolicy::ProductiveFirstRandom,
-        &scheme,
-        cfg,
-    );
-    sim.schedule_faults(&schedule);
-    let n = topo.num_nodes() as u32;
-    let mut factory = PacketFactory::new(map);
-    for k in 0..packets {
-        let src = NodeId(rng.gen_range(0..n));
-        let mut dst = NodeId(rng.gen_range(0..n));
-        while dst == src {
-            dst = NodeId(rng.gen_range(0..n));
-        }
-        let p = factory.benign(src, dst, L4::udp(9, 9), 64);
-        sim.schedule(SimTime(k * INJECT_EVERY), p);
-    }
-    let stats = sim.run();
-    // The resilience invariant: faults cost delivery, never attribution.
-    let mut misattributed = 0u64;
-    for d in sim.delivered() {
-        let dest = topo.coord(d.packet.dest_node);
-        let got = scheme
-            .attribute(topo, &dest, d.packet.header.identification)
-            .single()
-            .expect("delivered marking decodes");
-        if got != d.packet.true_source {
-            misattributed += 1;
-        }
-    }
-    let t = stats.total();
-    RunOutcome {
-        delivered: t.delivered,
-        injected: t.injected,
-        fault_drops: stats.fault_drops(),
-        misattributed,
-        window_ratio: stats.faults.window_delivery_ratio(),
-        recovery_mean: stats.faults.recovery.mean(),
-        degraded_cycles: stats.faults.degraded_cycles,
-        fault_events: stats.faults.events_applied,
-        violations: sim.violations().len() as u64,
-    }
+    json!({
+        "topology": topology.clone(),
+        "router": router,
+        // Productive-first selection: the sweep measures resilience,
+        // not selection-policy variance.
+        "policy": "productive_first_random",
+        "scheme": "ddpm",
+        "seed": seed,
+        // Every node injects on its own jittered clock, so the per-node
+        // interval scales with the node count.
+        "background_interval": self::topology(topology).num_nodes() * INJECT_EVERY,
+        "horizon": horizon,
+        "fault_schedule": churn_schedule(topology, &churn, seed),
+        "fault_retries": retries,
+        // Recording (not strict), so the whole sweep doubles as an
+        // invariant audit: violations are tallied into the report.
+        "invariants": true,
+    })
 }
 
-fn run_cell(
-    topo: &Topology,
-    router: Router,
+/// Scores one finished run. The resilience invariant: faults cost
+/// delivery, never attribution — every delivered packet's marking
+/// field must decode to its true injector (`misattributed` stays 0),
+/// while the typed `fault_drops` account for every loss.
+#[must_use]
+pub fn score(world: &ScenarioWorld) -> Value {
+    let topo = world.topology();
+    let sim = world.sim();
+    let scheme = DdpmScheme::new(topo).expect("sweep topologies fit the field");
+    let misattributed = sim
+        .delivered()
+        .iter()
+        .filter(|d| {
+            let dest = topo.coord(d.packet.dest_node);
+            let got = scheme
+                .attribute(topo, &dest, d.packet.header.identification)
+                .single()
+                .expect("delivered marking decodes");
+            got != d.packet.true_source
+        })
+        .count();
+    let stats = sim.stats();
+    json!({
+        "delivered": stats.total().delivered,
+        "injected": stats.total().injected,
+        "fault_drops": stats.fault_drops(),
+        "misattributed": misattributed,
+        "window_ratio": stats.faults.window_delivery_ratio(),
+        "recovery_mean": stats.faults.recovery.mean(),
+        "degraded_cycles": stats.faults.degraded_cycles,
+        "fault_events": stats.faults.events_applied,
+        "violations": sim.violations().len(),
+    })
+}
+
+/// Runs one sweep cell twice — retries on and off, against the same
+/// churn schedule — and returns its report row.
+fn measure_cell(
+    topology: &Value,
+    router: &str,
     level: ChurnLevel,
     seed: u64,
     packets: u64,
-) -> Cell {
-    Cell {
-        topo: topo.describe(),
-        router: router.name(),
-        churn: level.name,
-        tolerant: run_once(topo, router, level, 6, seed, packets),
-        brittle: run_once(topo, router, level, 0, seed, packets),
-    }
+) -> Value {
+    let [(retry, scenario), (no_retry, no_retry_scenario)] = [RETRIES, 0].map(|retries| {
+        let scenario = cell(topology, router, level, seed, packets, retries);
+        let world = run_cell(&scenario).expect("sweep cells are valid scenarios");
+        (world, scenario)
+    });
+    let topo = retry.topology();
+    json!({
+        "topology": topo.describe(),
+        "router": retry.config().router.build(topo).name(),
+        "churn": level.name,
+        "retry": row(json!({"scenario": scenario}), &score(&retry)),
+        "no_retry": row(json!({"scenario": no_retry_scenario}), &score(&no_retry)),
+    })
 }
 
 /// Runs the resilience sweep.
@@ -186,31 +161,28 @@ fn run_cell(
 pub fn run(ctx: &RunCtx) -> Report {
     let packets = ctx.scaled(PACKETS);
     let base_seed = ctx.seed_or(0xC11A0);
-    let topologies = vec![
-        Topology::mesh2d(8),
-        Topology::torus(&[8, 8]),
-        Topology::hypercube(6),
-    ];
     let mut jobs = Vec::new();
-    for topo in &topologies {
-        let mut routers = vec![
-            Router::DimensionOrder,
-            Router::MinimalAdaptive,
-            Router::fully_adaptive_for(topo),
-        ];
-        if matches!(topo.kind(), ddpm_topology::TopologyKind::Mesh) && topo.ndims() == 2 {
-            routers.push(Router::WestFirst);
+    for (topology, mesh2d) in [
+        (json!({"kind": "mesh", "dims": [8, 8]}), true),
+        (json!({"kind": "torus", "dims": [8, 8]}), false),
+        (json!({"kind": "hypercube", "n": 6}), false),
+    ] {
+        let mut routers = vec!["dimension_order", "minimal_adaptive", "fully_adaptive"];
+        if mesh2d {
+            routers.push("west_first");
         }
         for router in routers {
             for level in LEVELS {
-                jobs.push((topo.clone(), router, level));
+                jobs.push((topology.clone(), router, level));
             }
         }
     }
-    let cells: Vec<Cell> = jobs
+    let cells: Vec<Value> = jobs
         .par_iter()
         .enumerate()
-        .map(|(i, (topo, router, level))| run_cell(topo, *router, *level, base_seed + i as u64, packets))
+        .map(|(i, (topology, router, level))| {
+            measure_cell(topology, router, *level, base_seed + i as u64, packets)
+        })
         .collect();
 
     let mut t = TextTable::new(&[
@@ -225,52 +197,37 @@ pub fn run(ctx: &RunCtx) -> Report {
         "recovery (cyc)",
         "misattributed",
     ]);
-    let mut rows = Vec::new();
     let mut total_fault_drops = 0u64;
     let mut total_mis = 0u64;
     let mut total_delivered = 0u64;
     let mut total_violations = 0u64;
     let (mut retry_ratio_sum, mut brittle_ratio_sum) = (0.0f64, 0.0f64);
+    let count = |m: &Value, key: &str| m[key].as_u64().expect("a measured count");
+    let ratio = |m: &Value| count(m, "delivered") as f64 / count(m, "injected").max(1) as f64;
     for c in &cells {
-        let ratio = |o: &RunOutcome| o.delivered as f64 / o.injected.max(1) as f64;
-        total_fault_drops += c.tolerant.fault_drops + c.brittle.fault_drops;
-        total_mis += c.tolerant.misattributed + c.brittle.misattributed;
-        total_delivered += c.tolerant.delivered + c.brittle.delivered;
-        total_violations += c.tolerant.violations + c.brittle.violations;
-        retry_ratio_sum += ratio(&c.tolerant);
-        brittle_ratio_sum += ratio(&c.brittle);
+        let (retry, no_retry) = (&c["retry"], &c["no_retry"]);
+        let both = |key: &str| count(retry, key) + count(no_retry, key);
+        total_fault_drops += both("fault_drops");
+        total_mis += both("misattributed");
+        total_delivered += both("delivered");
+        total_violations += both("violations");
+        retry_ratio_sum += ratio(retry);
+        brittle_ratio_sum += ratio(no_retry);
+        let label = |key: &str| c[key].as_str().expect("a cell label").to_string();
         t.row(&[
-            c.topo.clone(),
-            c.router.to_string(),
-            c.churn.to_string(),
-            c.tolerant.fault_events.to_string(),
-            fnum(ratio(&c.tolerant)),
-            fnum(ratio(&c.brittle)),
-            fnum(c.tolerant.window_ratio),
-            (c.tolerant.fault_drops + c.brittle.fault_drops).to_string(),
-            c.tolerant
-                .recovery_mean
+            label("topology"),
+            label("router"),
+            label("churn"),
+            retry["fault_events"].to_string(),
+            fnum(ratio(retry)),
+            fnum(ratio(no_retry)),
+            fnum(retry["window_ratio"].as_f64().expect("a ratio")),
+            both("fault_drops").to_string(),
+            retry["recovery_mean"]
+                .as_f64()
                 .map_or_else(|| "-".to_string(), fnum),
-            (c.tolerant.misattributed + c.brittle.misattributed).to_string(),
+            both("misattributed").to_string(),
         ]);
-        rows.push(json!({
-            "topology": c.topo, "router": c.router, "churn": c.churn,
-            "fault_events": c.tolerant.fault_events,
-            "retry": {
-                "delivered": c.tolerant.delivered,
-                "injected": c.tolerant.injected,
-                "fault_drops": c.tolerant.fault_drops,
-                "window_ratio": c.tolerant.window_ratio,
-                "recovery_mean": c.tolerant.recovery_mean,
-                "degraded_cycles": c.tolerant.degraded_cycles,
-                "misattributed": c.tolerant.misattributed,
-            },
-            "no_retry": {
-                "delivered": c.brittle.delivered,
-                "fault_drops": c.brittle.fault_drops,
-                "misattributed": c.brittle.misattributed,
-            },
-        }));
     }
     let ncells = cells.len().max(1) as f64;
     let body = format!(
@@ -297,7 +254,7 @@ pub fn run(ctx: &RunCtx) -> Report {
             .into(),
         body,
         json: json!({
-            "cells": rows,
+            "cells": cells,
             "total_misattributed": total_mis,
             "total_fault_drops": total_fault_drops,
             "total_violations": total_violations,
@@ -335,10 +292,14 @@ mod tests {
 
     #[test]
     fn single_cell_dor_mesh_under_high_churn() {
-        let topo = Topology::mesh2d(8);
-        let c = run_cell(&topo, Router::DimensionOrder, LEVELS[2], 42, PACKETS);
-        assert_eq!(c.tolerant.misattributed + c.brittle.misattributed, 0);
-        assert!(c.tolerant.fault_events > 0);
-        assert!(c.tolerant.delivered > 0);
+        let mesh = json!({"kind": "mesh", "dims": [8, 8]});
+        let c = measure_cell(&mesh, "dimension_order", LEVELS[2], 42, PACKETS);
+        let (retry, no_retry) = (&c["retry"], &c["no_retry"]);
+        assert_eq!(
+            retry["misattributed"].as_u64().unwrap() + no_retry["misattributed"].as_u64().unwrap(),
+            0
+        );
+        assert!(retry["fault_events"].as_u64().unwrap() > 0);
+        assert!(retry["delivered"].as_u64().unwrap() > 0);
     }
 }

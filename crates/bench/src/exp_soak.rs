@@ -23,15 +23,14 @@
 //! cargo run --release -p ddpm-bench --bin report -- replay target/soak-bundles/bundle-*.json
 //! ```
 
+use crate::grid::run_cell;
 use crate::util::{fnum, Report, RunCtx};
-use ddpm_serve::scenario::{fault_event_json, ScenarioConfig, TopologySpec};
 use ddpm_serve::ScenarioWorld;
-use ddpm_sim::{AdversaryBehavior, SimStats, Violation};
-use ddpm_telemetry::PacketEvent;
-use ddpm_topology::{ChurnConfig, FaultSchedule};
+use ddpm_sim::AdversaryBehavior;
+use ddpm_topology::ChurnConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{json, FromJson, Value};
+use serde_json::{json, Value};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -42,44 +41,13 @@ pub const BUNDLE_SCHEMA: &str = "ddpm-repro-bundle/3";
 /// about `horizon / INJECT_EVERY` packets whatever its node count.
 const INJECT_EVERY: u64 = 3;
 
-/// Everything one case run yields: the run statistics, the recorded
-/// violations (empty when healthy) and the checker's trace tail — the
-/// last two feed the repro bundle.
-#[derive(Debug)]
-pub struct CaseOutcome {
-    /// Run statistics (watchdog counters included).
-    pub stats: SimStats,
-    /// Invariant violations, in detection order.
-    pub violations: Vec<Violation>,
-    /// Trailing lifecycle events at end of run.
-    pub tail: Vec<PacketEvent>,
-}
-
-/// Loads one case — a scenario JSON value — through the scenario
-/// loader and runs it to completion. Deterministic: the same scenario
-/// always returns the same outcome.
-///
-/// # Errors
-/// The loader's message for a malformed scenario (unknown keys
-/// included), or the world's for an infeasible one (topology too large
-/// for the scheme's MF budget, adversary spec out of range).
-pub fn run_case(scenario: &Value) -> Result<CaseOutcome, String> {
-    let cfg = ScenarioConfig::from_json(scenario).map_err(|e| format!("scenario: {e}"))?;
-    let mut world = ScenarioWorld::build(&cfg, None, None)?;
-    world.run_to_completion()?;
-    let sim = world.sim();
-    Ok(CaseOutcome {
-        stats: *sim.stats(),
-        violations: sim.violations().to_vec(),
-        tail: sim.trace_tail(),
-    })
-}
-
-/// Renders the repro bundle for a failed case (first violation wins —
-/// later ones are usually cascade noise from the same root cause).
+/// Renders the repro bundle for a failed case, run to completion in
+/// `world` (first violation wins — later ones are usually cascade noise
+/// from the same root cause).
 #[must_use]
-pub fn bundle_json(scenario: &Value, out: &CaseOutcome) -> Value {
-    let v = out.violations.first().expect("bundle needs a violation");
+pub fn bundle_json(scenario: &Value, world: &ScenarioWorld) -> Value {
+    let violations = world.sim().violations();
+    let v = violations.first().expect("bundle needs a violation");
     json!({
         "schema": BUNDLE_SCHEMA,
         "scenario": scenario.clone(),
@@ -90,9 +58,9 @@ pub fn bundle_json(scenario: &Value, out: &CaseOutcome) -> Value {
             "invariant": v.invariant,
             "detail": v.detail.clone(),
         },
-        "violations_total": out.violations.len() as u64,
+        "violations_total": violations.len() as u64,
         "trace_tail": Value::Array(
-            out.tail.iter().map(|e| Value::String(e.to_ndjson())).collect()
+            world.sim().trace_tail().iter().map(|e| Value::String(e.to_ndjson())).collect(),
         ),
     })
 }
@@ -101,11 +69,58 @@ pub fn bundle_json(scenario: &Value, out: &CaseOutcome) -> Value {
 ///
 /// # Errors
 /// I/O or serialisation failures, as human-readable text.
-pub fn write_bundle(dir: &Path, scenario: &Value, out: &CaseOutcome) -> Result<PathBuf, String> {
+pub fn write_bundle(
+    dir: &Path,
+    scenario: &Value,
+    world: &ScenarioWorld,
+) -> Result<PathBuf, String> {
     let seed = scenario["seed"].as_u64().unwrap_or(0);
     let path = dir.join(format!("bundle-{seed:#x}.json"));
-    crate::util::write_json(&path, &bundle_json(scenario, out))?;
+    crate::util::write_json(&path, &bundle_json(scenario, world))?;
     Ok(path)
+}
+
+/// A repro-bundle field that is missing or of the wrong type. Replay
+/// refuses such a bundle rather than compare against a made-up
+/// violation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BundleFieldError {
+    /// The offending field, e.g. `violation.cycle`.
+    pub field: &'static str,
+    /// What the field must hold.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for BundleFieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "bundle field `{}` must be {}", self.field, self.expected)
+    }
+}
+
+/// Reads the violation a bundle records as `(cycle, packet,
+/// invariant)`: the identity a replay must reproduce. All three fields
+/// are required, with their types.
+///
+/// # Errors
+/// The first missing or mistyped field.
+pub fn violation_id(bundle: &Value) -> Result<(u64, u64, String), BundleFieldError> {
+    let bad = |field, expected| BundleFieldError { field, expected };
+    let v = bundle
+        .get("violation")
+        .filter(|v| v.as_object().is_some())
+        .ok_or(bad("violation", "an object"))?;
+    let int = |key: &str, field| {
+        v.get(key)
+            .and_then(Value::as_u64)
+            .ok_or(bad(field, "a non-negative integer"))
+    };
+    let cycle = int("cycle", "violation.cycle")?;
+    let pkt = int("pkt", "violation.pkt")?;
+    let invariant = v
+        .get("invariant")
+        .and_then(Value::as_str)
+        .ok_or(bad("violation.invariant", "a string"))?;
+    Ok((cycle, pkt, invariant.to_string()))
 }
 
 /// Re-runs a repro bundle and checks the violation reproduces with the
@@ -113,7 +128,8 @@ pub fn write_bundle(dir: &Path, scenario: &Value, out: &CaseOutcome) -> Result<P
 /// carries `reproduced: bool`; the driver exits non-zero on `false`.
 ///
 /// # Errors
-/// Unreadable/of-the-wrong-schema bundles, a scenario the loader
+/// Unreadable/of-the-wrong-schema bundles, a missing or mistyped
+/// violation field ([`BundleFieldError`]), a scenario the loader
 /// refuses, or a case that fails to run.
 pub fn replay(path: &Path) -> Result<Report, String> {
     let raw = std::fs::read_to_string(path)
@@ -128,19 +144,9 @@ pub fn replay(path: &Path) -> Result<Report, String> {
     let scenario = bundle
         .get("scenario")
         .ok_or_else(|| format!("{}: missing `scenario`", path.display()))?;
-    let want = bundle
-        .get("violation")
-        .ok_or_else(|| format!("{}: missing `violation`", path.display()))?;
-    let want_id = (
-        want.get("cycle").and_then(Value::as_u64).unwrap_or(0),
-        want.get("pkt").and_then(Value::as_u64).unwrap_or(0),
-        want.get("invariant")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string(),
-    );
-    let out = run_case(scenario).map_err(|e| format!("{}: {e}", path.display()))?;
-    let got = out.violations.first();
+    let want_id = violation_id(&bundle).map_err(|e| format!("{}: {e}", path.display()))?;
+    let world = run_cell(scenario).map_err(|e| format!("{}: {e}", path.display()))?;
+    let got = world.sim().violations().first();
     let got_id = got.map(|v| (v.cycle, v.pkt, v.invariant.to_string()));
     let reproduced = got_id.as_ref() == Some(&want_id);
     let verdict = match (&got_id, reproduced) {
@@ -161,7 +167,7 @@ pub fn replay(path: &Path) -> Result<Report, String> {
         "bundle : {}\ncase   : seed {:#x}, {} packets\nverdict: {verdict}\n",
         path.display(),
         scenario["seed"].as_u64().unwrap_or(0),
-        out.stats.total().injected,
+        world.sim().stats().total().injected,
     );
     Ok(Report {
         key: "replay",
@@ -230,10 +236,6 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
     // detection + escape on every few cases, not only on real bugs.
     let max_age: u64 = [96, 512, 2048][rng.gen_range(0..3usize)];
     let horizon = if quick { 120 } else { 400 } * INJECT_EVERY;
-    let topo = TopologySpec::from_json(&topology)
-        .expect("the soak draws valid topologies")
-        .build();
-    let mut churn_rng = SmallRng::seed_from_u64(seed);
     let churn = ChurnConfig {
         horizon,
         period: 200,
@@ -241,7 +243,7 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
         switch_rate,
         down_time: 400,
     };
-    let schedule = FaultSchedule::churn(&topo, &churn, || churn_rng.gen::<f64>());
+    let fault_schedule = crate::grid::churn_schedule(&topology, &churn, seed);
     json!({
         "topology": topology,
         "router": router,
@@ -253,10 +255,7 @@ fn random_case(rng: &mut SmallRng, seed: u64, quick: bool) -> Value {
         // per-node interval scales with the node count.
         "background_interval": u64::from(nodes) * INJECT_EVERY,
         "horizon": horizon,
-        "fault_schedule": schedule
-            .iter()
-            .map(|(at, ev)| fault_event_json(at, ev))
-            .collect::<Vec<_>>(),
+        "fault_schedule": fault_schedule,
         "fault_retries": retries,
         "watchdog": {
             "check_period": 64,
@@ -297,20 +296,21 @@ pub fn run(ctx: &RunCtx) -> Report {
         let seed = base.wrapping_add(cases);
         let case = random_case(&mut rng, seed, ctx.quick);
         cases += 1;
-        match run_case(&case) {
-            Ok(out) => {
-                let t = out.stats.total();
+        match run_cell(&case) {
+            Ok(world) => {
+                let stats = world.sim().stats();
+                let t = stats.total();
                 injected += t.injected;
                 delivered += t.delivered;
                 dropped += t.dropped();
                 liveness_drops += t.dropped_liveness();
-                livelocks += out.stats.watchdog.livelocks;
-                starvations += out.stats.watchdog.starvations;
-                deadlocks += out.stats.watchdog.deadlocks;
-                escapes += out.stats.watchdog.escapes;
-                if !out.violations.is_empty() {
-                    violations += out.violations.len() as u64;
-                    match write_bundle(&bundle_dir, &case, &out) {
+                livelocks += stats.watchdog.livelocks;
+                starvations += stats.watchdog.starvations;
+                deadlocks += stats.watchdog.deadlocks;
+                escapes += stats.watchdog.escapes;
+                if !world.sim().violations().is_empty() {
+                    violations += world.sim().violations().len() as u64;
+                    match write_bundle(&bundle_dir, &case, &world) {
                         Ok(p) => bundles.push(p.display().to_string()),
                         Err(e) => errors.push(e),
                     }
@@ -376,6 +376,8 @@ pub fn run(ctx: &RunCtx) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddpm_serve::scenario::ScenarioConfig;
+    use serde_json::FromJson;
 
     fn tiny_case(seed: u64) -> Value {
         json!({
@@ -438,12 +440,12 @@ mod tests {
     #[test]
     fn bundle_whose_scenario_has_an_unknown_key_is_refused() {
         let case = with_selftest(tiny_case(0xFA12), 50);
-        let out = run_case(&case).expect("runs");
+        let world = run_cell(&case).expect("runs");
         let Value::Object(mut scenario) = case else {
             panic!("a case is a JSON object")
         };
         scenario.insert("engine".to_string(), json!("sharded"));
-        let bundle = bundle_json(&Value::Object(scenario), &out);
+        let bundle = bundle_json(&Value::Object(scenario), &world);
         let (dir, p) = write_raw("unknown", &bundle);
         let err = replay(&p).unwrap_err();
         assert!(err.contains("unknown field `engine`"), "{err}");
@@ -452,13 +454,14 @@ mod tests {
 
     #[test]
     fn clean_case_is_deterministic_and_violation_free() {
-        let a = run_case(&tiny_case(7)).expect("runs");
-        let b = run_case(&tiny_case(7)).expect("runs");
-        assert!(a.violations.is_empty(), "{:?}", a.violations);
-        assert!(a.stats.faults.events_applied > 0, "the fault schedule applied");
-        assert_eq!(a.stats.total().injected, b.stats.total().injected);
-        assert_eq!(a.stats.total().delivered, b.stats.total().delivered);
-        assert_eq!(a.tail, b.tail);
+        let a = run_cell(&tiny_case(7)).expect("runs");
+        let b = run_cell(&tiny_case(7)).expect("runs");
+        let (a, b) = (a.sim(), b.sim());
+        assert!(a.violations().is_empty(), "{:?}", a.violations());
+        assert!(a.stats().faults.events_applied > 0, "the fault schedule applied");
+        assert_eq!(a.stats().total().injected, b.stats().total().injected);
+        assert_eq!(a.stats().total().delivered, b.stats().total().delivered);
+        assert_eq!(a.trace_tail(), b.trace_tail());
     }
 
     #[test]
@@ -466,11 +469,12 @@ mod tests {
         // The chaos self-test stands in for a real bug: the violation
         // must survive the disk round-trip and replay byte-identically.
         let case = with_selftest(tiny_case(0xFA11), 50);
-        let out = run_case(&case).expect("runs");
-        assert_eq!(out.violations.len(), 1, "{:?}", out.violations);
-        assert!(!out.tail.is_empty(), "tail captured");
+        let world = run_cell(&case).expect("runs");
+        let violations = world.sim().violations();
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(!world.sim().trace_tail().is_empty(), "tail captured");
         let dir = std::env::temp_dir().join(format!("ddpm-soak-{}", std::process::id()));
-        let path = write_bundle(&dir, &case, &out).expect("bundle written");
+        let path = write_bundle(&dir, &case, &world).expect("bundle written");
         let report = replay(&path).expect("replays");
         assert_eq!(
             report.json["reproduced"],
@@ -490,5 +494,29 @@ mod tests {
         let err = replay(&p).unwrap_err();
         assert!(err.contains("unsupported bundle schema"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+
+        // A bundle whose violation is incomplete or mistyped is refused
+        // before anything runs, naming the bad field.
+        for (violation, field) in [
+            (Value::Null, "violation"),
+            (json!("selftest"), "violation"),
+            (json!({}), "violation.cycle"),
+            (json!({"cycle": "12", "pkt": 3, "invariant": "selftest"}), "violation.cycle"),
+            (json!({"cycle": 12, "invariant": "selftest"}), "violation.pkt"),
+            (json!({"cycle": 12, "pkt": -3, "invariant": "selftest"}), "violation.pkt"),
+            (json!({"cycle": 12, "pkt": 3}), "violation.invariant"),
+            (json!({"cycle": 12, "pkt": 3, "invariant": 7}), "violation.invariant"),
+        ] {
+            let bundle = json!({
+                "schema": BUNDLE_SCHEMA,
+                "scenario": tiny_case(1),
+                "violation": violation,
+            });
+            assert_eq!(violation_id(&bundle).unwrap_err().field, field, "{bundle}");
+            let (dir, p) = write_raw("field", &bundle);
+            let err = replay(&p).unwrap_err();
+            assert!(err.contains(&format!("bundle field `{field}` must be")), "{err}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -16,12 +16,21 @@
 //! | [`exp_dpm`] | §4.3 DPM signature instability |
 //! | [`exp_identification`] | §5 single-packet identification |
 //! | [`exp_end_to_end`] | §1/§2 detect → identify → block pipeline |
+//! | [`exp_compromised`] | §4.1/§6.2 one compromised switch vs. authenticated DDPM |
+//! | [`exp_defenses`] | §2 defence matrix: attacker profiles × defences |
+//! | [`exp_indirect`] | §6.3 indirect networks (butterfly, irregular) |
+//! | [`exp_flooding_traceback`] | §2 controlled-flooding traceback vs. DDPM |
+//! | [`exp_ablation`] | misroute budget, buffer depth, selection policy, codec mode |
 //! | [`exp_bakeoff`] | cross-scheme plugin bake-off (Tables 1–3, measured) |
 //! | [`exp_resilience`] | §4.1 attribution under dynamic fault churn |
 //! | [`exp_soak`] | liveness/invariant chaos soak + failure replay |
 //! | [`exp_adversarial`] | §4.1/§6.2 Byzantine grid: schemes × behaviors × compromised switches |
 //! | [`exp_service_load`] | E-SERVE: resident multi-tenant service, ingest + online identify |
 //! | [`exp_scale`] | E-SCALE: Table 3 maxima end to end — wave-staged floods, bounded memory |
+//!
+//! E-ADV, E-BAKEOFF, E-RESIL and the soak are scenario grids: each
+//! cell is a scenario JSON value run through [`grid`], and each report
+//! row carries the cell that reproduces it.
 
 pub mod exp_ablation;
 pub mod exp_adversarial;
@@ -42,6 +51,7 @@ pub mod exp_soak;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
+pub mod grid;
 pub mod tables;
 pub mod util;
 
@@ -51,7 +61,7 @@ pub use util::{Report, RunCtx, TextTable};
 /// shared [`RunCtx`] (seed override, quick mode, trace directory).
 pub type Experiment = (&'static str, fn(&RunCtx) -> Report);
 
-/// Every experiment, in paper order: `(key, title, runner)`.
+/// Every experiment, in paper order: `(key, runner)`.
 #[must_use]
 pub fn all_experiments() -> Vec<Experiment> {
     vec![

@@ -3,7 +3,11 @@
 //! the contract `report --quick all` and CI rely on. Also home of the
 //! throughput regression gate over `BENCH_sim_throughput.json`.
 
-use ddpm_bench::{all_experiments, RunCtx};
+use ddpm_bench::grid::run_cell;
+use ddpm_bench::{all_experiments, exp_adversarial, exp_bakeoff, exp_resilience, RunCtx};
+use ddpm_serve::scenario::ScenarioConfig;
+use ddpm_serve::ScenarioWorld;
+use serde_json::{FromJson, Value};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -73,6 +77,87 @@ fn quick_tracing_writes_an_ndjson_trace() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `key` under `--quick` and checks that every value under a
+/// `"scenario"` key in its JSON — one per run row, `rows` in all —
+/// loads through the strict scenario loader.
+fn quick_rows(key: &str, rows: impl Fn(&Value) -> usize) -> Value {
+    fn collect(v: &Value, out: &mut Vec<Value>) {
+        match v {
+            Value::Object(m) => m.iter().for_each(|(k, x)| match k.as_str() {
+                "scenario" => out.push(x.clone()),
+                _ => collect(x, out),
+            }),
+            Value::Array(a) => a.iter().for_each(|x| collect(x, out)),
+            _ => {}
+        }
+    }
+    let (_, runner) = all_experiments().into_iter().find(|(k, _)| *k == key).expect(key);
+    let json = runner(&RunCtx {
+        quick: true,
+        ..RunCtx::default()
+    })
+    .json;
+    let mut found = Vec::new();
+    collect(&json, &mut found);
+    assert_eq!(found.len(), rows(&json), "{key}: one scenario per run row");
+    for s in &found {
+        ScenarioConfig::from_json(s).unwrap_or_else(|e| panic!("{key}: {s}: {e}"));
+    }
+    json
+}
+
+/// Re-runs a row's scenario: strict loader, then `ScenarioWorld`.
+fn rerun(row: &Value) -> ScenarioWorld {
+    run_cell(&row["scenario"]).unwrap_or_else(|e| panic!("{row}: {e}"))
+}
+
+/// Every measured field equals the row's.
+fn assert_reproduces(row: &Value, measured: &Value) {
+    for (key, v) in measured.as_object().expect("measurements").iter() {
+        assert_eq!(&row[key.as_str()], v, "`{key}` of {row}");
+    }
+}
+
+/// The scenario-grid experiments: every row carries the scenario it
+/// ran, every such scenario loads through the strict loader, and
+/// re-running a row's scenario through `ScenarioWorld` reproduces the
+/// row's numbers.
+#[test]
+fn scenario_grid_rows_reproduce() {
+    let len = |v: &Value| v.as_array().expect("rows").len();
+
+    // E-ADV: grid cells (a feasibility wall included) and calibration.
+    let adv = quick_rows("adversarial", |j| len(&j["grid"]) + len(&j["calibration"]));
+    let grid = adv["grid"].as_array().expect("grid");
+    let row = grid
+        .iter()
+        .find(|r| r["scheme"] == "auth-ddpm" && r["behavior"] == "frame" && r["switches"] == 4)
+        .expect("auth-ddpm frame row");
+    assert_reproduces(row, &exp_adversarial::score(&rerun(row)));
+    let wall = grid.iter().find(|r| !r["infeasible"].is_null()).expect("a wall");
+    let refused = run_cell(&wall["scenario"]).err();
+    assert_eq!(refused.as_deref(), wall["infeasible"].as_str(), "{wall}");
+    let row = &adv["calibration"][1];
+    let (tampered, accepted) = exp_adversarial::forgery_acceptance(&rerun(row));
+    assert_eq!(row["tampered"], tampered, "{row}");
+    assert_eq!(row["accepted"], accepted, "{row}");
+
+    // E-BAKEOFF: a PPM row, whose numbers hang on every per-packet draw.
+    let bake = quick_rows("bakeoff", |j| {
+        j["topologies"].as_array().expect("topologies").iter().map(|t| len(&t["rows"])).sum()
+    });
+    let row = &bake["topologies"][0]["rows"][3];
+    assert_eq!(row["scheme"], "ppm-edge");
+    assert_reproduces(row, &exp_bakeoff::score(&rerun(row)));
+
+    // E-RESIL: every cell ran twice, retries on and off.
+    let resil = quick_rows("resilience", |j| 2 * len(&j["cells"]));
+    let cell = &resil["cells"][len(&resil["cells"]) - 1];
+    for row in [&cell["retry"], &cell["no_retry"]] {
+        assert_reproduces(row, &exp_resilience::score(&rerun(row)));
+    }
 }
 
 /// Mean serial `telemetry-off` throughput per `(topology, router)` from

@@ -398,6 +398,22 @@ impl ScenarioWorld {
         &self.topo
     }
 
+    /// The marking scheme plugin the run marks with. An adversary wraps
+    /// its marker, never its collector, so this is the honest scheme the
+    /// victim decodes with.
+    #[must_use]
+    pub fn scheme(&self) -> &dyn MarkingScheme {
+        &*self.plugin
+    }
+
+    /// The compromised marking plane, if the scenario configures one. Its
+    /// per-packet ground truth ([`AdversaryModel::was_tampered`]) is what
+    /// the victim cannot see and a report can.
+    #[must_use]
+    pub fn adversary(&self) -> Option<&AdversaryModel<'_>> {
+        self.adversary.as_deref()
+    }
+
     /// Read access to the live simulation: stats so far, delivered
     /// stream, drops, violations, current cycle.
     #[must_use]
