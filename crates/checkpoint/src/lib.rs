@@ -72,12 +72,75 @@ const MIN_FILE_LEN: usize = 8 + 4 + 8 + 8 + 4 + 8 + 8;
 /// an integrity check, not an authenticity one).
 #[must_use]
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// A streaming [`fnv64`] that is also a [`fmt::Write`] sink, so text
+/// can be hashed as it is formatted instead of being rendered into a
+/// string first.
+///
+/// It carries two states over the same bytes: the whole stream
+/// ([`Fnv64::finish`]) and the current section
+/// ([`Fnv64::end_section`], which returns the section's hash and starts
+/// the next one). A run's outcome digest is one overall hash plus one
+/// hash per delivered/drop/violation/stats section; one pass of this
+/// sink yields all of them, equal to [`fnv64`] of the concatenation
+/// and of each section alone.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64 {
+    whole: u64,
+    section: u64,
+}
+
+impl Fnv64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A hasher that has seen no bytes.
+    #[must_use]
+    pub fn new() -> Self {
+        Self {
+            whole: Self::OFFSET,
+            section: Self::OFFSET,
+        }
     }
-    h
+
+    /// Feeds `bytes` to both the stream and the current section.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let (mut w, mut s) = (self.whole, self.section);
+        for &b in bytes {
+            w = (w ^ u64::from(b)).wrapping_mul(Self::PRIME);
+            s = (s ^ u64::from(b)).wrapping_mul(Self::PRIME);
+        }
+        (self.whole, self.section) = (w, s);
+    }
+
+    /// Hash of every byte fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.whole
+    }
+
+    /// Hash of the bytes fed since the previous `end_section` (or since
+    /// [`Fnv64::new`]); the next section starts empty.
+    pub fn end_section(&mut self) -> u64 {
+        std::mem::replace(&mut self.section, Self::OFFSET)
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for Fnv64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Fingerprint of a scenario's static description (any stable string —
@@ -512,6 +575,48 @@ mod tests {
         assert_eq!(parse_cycle(".ckpt-12.tmp"), None);
         assert_eq!(parse_cycle("ckpt-x.ddpm"), None);
         assert_eq!(parse_cycle("other.ddpm"), None);
+    }
+
+    #[test]
+    fn fnv64_matches_the_published_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    proptest::proptest! {
+        /// Sections of random bytes, each fed in random splits through
+        /// both `update` and `fmt::Write`: the stream hash is `fnv64` of
+        /// the concatenation and each section's hash is `fnv64` of that
+        /// section alone.
+        #[test]
+        fn streaming_sink_matches_fnv64_over_any_split(
+            sections in proptest::collection::vec(
+                proptest::collection::vec(0u8..128, 0..64), 0..6),
+            cuts in proptest::collection::vec(1usize..9, 1..8),
+        ) {
+            use std::fmt::Write as _;
+            let mut h = Fnv64::new();
+            let mut all = Vec::new();
+            let mut cut = cuts.iter().cycle();
+            for (i, sec) in sections.iter().enumerate() {
+                let mut rest = &sec[..];
+                while !rest.is_empty() {
+                    let (head, tail) = rest.split_at((*cut.next().unwrap()).min(rest.len()));
+                    if i % 2 == 0 {
+                        h.update(head);
+                    } else {
+                        // ASCII only, so every split is a char boundary.
+                        h.write_str(std::str::from_utf8(head).unwrap()).unwrap();
+                    }
+                    rest = tail;
+                }
+                proptest::prop_assert_eq!(h.end_section(), fnv64(sec));
+                all.extend_from_slice(sec);
+            }
+            proptest::prop_assert_eq!(h.finish(), fnv64(&all));
+            proptest::prop_assert_eq!(h.end_section(), fnv64(b""), "a fresh section is empty");
+        }
     }
 
     #[test]

@@ -25,15 +25,7 @@ pub fn minimal(ctx: &RouteCtx<'_>, cur: &Coord, dst: &Coord) -> Vec<Candidate> {
 
 /// Allocation-free form of [`minimal`]; appends into `out`.
 pub fn minimal_into(ctx: &RouteCtx<'_>, cur: &Coord, dst: &Coord, out: &mut Vec<Candidate>) {
-    ctx.for_each_live_neighbor(cur, |dir, next| {
-        if ctx.is_productive(cur, &next, dst) {
-            out.push(Candidate {
-                next,
-                dir,
-                productive: true,
-            });
-        }
-    });
+    live_hops_into(ctx, cur, dst, false, out);
 }
 
 /// All live hops: productive first, then misroutes while the budget
@@ -46,11 +38,6 @@ pub fn fully(ctx: &RouteCtx<'_>, cur: &Coord, dst: &Coord, state: &RouteState) -
 }
 
 /// Allocation-free form of [`fully`]; appends into `out`.
-///
-/// Two streaming passes over the live neighbours (productive, then
-/// misroutes) reproduce the productive-first order of the buffered
-/// version without a scratch vector; `min_hops` is closed-form, so the
-/// second pass costs arithmetic, not allocation.
 pub fn fully_into(
     ctx: &RouteCtx<'_>,
     cur: &Coord,
@@ -58,18 +45,43 @@ pub fn fully_into(
     state: &RouteState,
     out: &mut Vec<Candidate>,
 ) {
-    minimal_into(ctx, cur, dst, out);
-    if state.can_misroute() {
-        ctx.for_each_live_neighbor(cur, |dir, next| {
-            if !ctx.is_productive(cur, &next, dst) {
-                out.push(Candidate {
+    live_hops_into(ctx, cur, dst, state.can_misroute(), out);
+}
+
+/// One pass over the live neighbours of `cur`: the productive hops in
+/// neighbour order, then (with `misroute`) the others in neighbour
+/// order. The base distance `min_hops(cur, dst)` is computed once;
+/// misroutes are appended as found and each productive hop is inserted
+/// ahead of them, so the result matches a productive pass followed by a
+/// misroute pass without walking the neighbours twice.
+fn live_hops_into(
+    ctx: &RouteCtx<'_>,
+    cur: &Coord,
+    dst: &Coord,
+    misroute: bool,
+    out: &mut Vec<Candidate>,
+) {
+    let remaining = ctx.topo.min_hops(cur, dst);
+    let mut split = out.len();
+    ctx.for_each_live_neighbor(cur, |dir, next| {
+        if ctx.is_productive_from(remaining, &next, dst) {
+            out.insert(
+                split,
+                Candidate {
                     next,
                     dir,
-                    productive: false,
-                });
-            }
-        });
-    }
+                    productive: true,
+                },
+            );
+            split += 1;
+        } else if misroute {
+            out.push(Candidate {
+                next,
+                dir,
+                productive: false,
+            });
+        }
+    });
 }
 
 #[cfg(test)]

@@ -26,7 +26,15 @@ impl<'a> RouteCtx<'a> {
     /// adaptive algorithm.
     #[must_use]
     pub fn is_productive(&self, cur: &Coord, next: &Coord, dst: &Coord) -> bool {
-        self.topo.min_hops(next, dst) < self.topo.min_hops(cur, dst)
+        self.is_productive_from(self.topo.min_hops(cur, dst), next, dst)
+    }
+
+    /// [`RouteCtx::is_productive`] against a precomputed
+    /// `remaining = min_hops(cur, dst)`: a router judging every
+    /// neighbour of `cur` computes the base distance once.
+    #[must_use]
+    pub fn is_productive_from(&self, remaining: u32, next: &Coord, dst: &Coord) -> bool {
+        self.topo.min_hops(next, dst) < remaining
     }
 
     /// Live (non-faulty) neighbours of `cur`.

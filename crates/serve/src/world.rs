@@ -17,7 +17,7 @@ use ddpm_attack::{
     AdversaryModel, BackgroundTraffic, FloodAttack, PacketFactory, SpoofStrategy, SynFloodAttack,
     TrafficPattern, Workload,
 };
-use ddpm_checkpoint::fnv64;
+use ddpm_checkpoint::Fnv64;
 use ddpm_core::build_scheme_with;
 use ddpm_net::{AddrMap, TrafficClass};
 use ddpm_routing::Router;
@@ -30,6 +30,7 @@ use ddpm_topology::{FaultSchedule, FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// Extends a borrow of heap-owned data to `'static`.
@@ -416,8 +417,30 @@ impl ScenarioWorld {
 
     /// Read access to the live simulation: stats so far, delivered
     /// stream, drops, violations, current cycle.
+    ///
+    /// The simulation borrows the world's own topology, so nothing
+    /// reached through it may outlive the world — this does not
+    /// compile:
+    ///
+    /// ```compile_fail,E0597
+    /// use ddpm_serve::scenario::{ScenarioConfig, ScenarioWorld};
+    /// use ddpm_topology::Topology;
+    /// use serde_json::FromJson;
+    ///
+    /// let v = serde_json::json!({
+    ///     "topology": {"kind": "mesh", "dims": [4, 4]},
+    ///     "router": "dimension_order",
+    ///     "horizon": 100
+    /// });
+    /// let cfg = ScenarioConfig::from_json(&v).unwrap();
+    /// let t: &'static Topology = {
+    ///     let w = ScenarioWorld::build(&cfg, None, None).unwrap();
+    ///     w.sim().topology()
+    /// };
+    /// println!("{}", t.num_nodes());
+    /// ```
     #[must_use]
-    pub fn sim(&self) -> &Simulation<'static> {
+    pub fn sim(&self) -> &Simulation<'_> {
         &self.sim
     }
 
@@ -712,33 +735,36 @@ impl ScenarioWorld {
         let stats = *self.sim.stats();
         let sim = &mut self.sim;
 
-        let mut d_dump = String::new();
+        // The digest hashes the text `D …`/`X …`/`V …`/`S …` lines as
+        // they are formatted, without building the (hundreds of MB)
+        // dump: one overall hash and one per section.
+        let mut h = Fnv64::new();
         for d in sim.delivered() {
-            d_dump.push_str(&format!(
-                "D {:?} {:?} {:?} {} {:?}\n",
+            writeln!(
+                h,
+                "D {:?} {:?} {:?} {} {:?}",
                 d.packet, d.injected_at, d.delivered_at, d.hops, d.path
-            ));
+            )
+            .expect("hashing cannot fail");
         }
-        let mut x_dump = String::new();
+        let d_hash = h.end_section();
         for (id, reason) in sim.drops() {
-            x_dump.push_str(&format!("X {id:?} {reason:?}\n"));
+            writeln!(h, "X {id:?} {reason:?}").expect("hashing cannot fail");
         }
-        let mut v_dump = String::new();
+        let x_hash = h.end_section();
         for v in sim.violations() {
-            v_dump.push_str(&format!("V {v:?}\n"));
+            writeln!(h, "V {v:?}").expect("hashing cannot fail");
         }
-        let s_dump = format!("S {stats:?}\n");
-        let dump = format!("{d_dump}{x_dump}{v_dump}{s_dump}");
+        let v_hash = h.end_section();
+        writeln!(h, "S {stats:?}").expect("hashing cannot fail");
+        let s_hash = h.end_section();
         let digest = format!(
-            "{:016x} delivered={} dropped={} violations={} D={:016x} X={:016x} V={:016x} S={:016x}",
-            fnv64(dump.as_bytes()),
+            "{:016x} delivered={} dropped={} violations={} D={d_hash:016x} X={x_hash:016x} \
+             V={v_hash:016x} S={s_hash:016x}",
+            h.finish(),
             sim.delivered().len(),
             sim.drops().len(),
             sim.violations().len(),
-            fnv64(d_dump.as_bytes()),
-            fnv64(x_dump.as_bytes()),
-            fnv64(v_dump.as_bytes()),
-            fnv64(s_dump.as_bytes()),
         );
 
         let mut text = format!(

@@ -5,9 +5,11 @@
 //! (`tests/conformance.rs`): it must reproduce the original
 //! `BinaryHeap` behaviour bit-for-bit. It is a bucketed cycle-wheel:
 //! O(1) schedule/pop for the bounded `service + latency` scheduling
-//! horizon of a switch fabric, with a heap fallback for far-future
-//! timers (watchdog sweeps, fault schedules, retry backoffs). Ties drain
-//! in the canonical `(cycle, rank, pkey, seq)` order.
+//! horizon of a switch fabric. Everything scheduled before the first
+//! pop — the up-front injection timeline — waits in one sorted run;
+//! later far-future timers (watchdog sweeps, fault schedules, retry
+//! backoffs) fall back to a heap. Ties drain in the canonical
+//! `(cycle, rank, pkey, seq)` order.
 
 use crate::time::SimTime;
 use ddpm_topology::FaultEvent;
@@ -104,22 +106,27 @@ impl PartialOrd for Event {
 }
 
 /// A deterministic future-event list, laid out as a bucketed
-/// **cycle-wheel** with a heap spillover.
+/// **cycle-wheel** beside a pre-start run and a heap spillover.
 ///
 /// A switch fabric schedules almost every event within a bounded
 /// look-ahead of the current cycle (`buffer · service + latency`), so
 /// the queue keeps a ring of per-cycle buckets covering that horizon:
 /// scheduling is a `Vec::push` into the bucket `time % horizon`, and
-/// popping drains one bucket at a time. Only genuinely far-future
-/// events — watchdog sweeps, fault schedules, deep retry backoffs, and
-/// the up-front injection timeline — spill into a conventional binary
-/// heap, off the per-packet hot path.
+/// popping drains one bucket at a time.
+///
+/// Everything pushed before the queue's first activation — the whole
+/// up-front injection timeline of a run, or every event of a restored
+/// checkpoint — is appended to one **pre-start run**, sorted once by
+/// the canonical key at the first activation and drained from its tail.
+/// Only far-future events pushed after the start — watchdog sweeps,
+/// fault schedules, deep retry backoffs, mid-run injections — spill
+/// into a conventional binary heap, off the per-packet hot path.
 ///
 /// Drain order is **identical** to the old all-heap queue: when a cycle
-/// activates, its bucket is merged with any heap spillover due the same
-/// cycle and sorted once by the canonical key; same-cycle insertions
-/// during the drain binary-insert into the sorted remainder, which is
-/// exactly the order a heap would have produced for them.
+/// activates, its bucket is merged with the run's and the heap's events
+/// due the same cycle and sorted once by the canonical key; same-cycle
+/// insertions during the drain binary-insert into the sorted remainder,
+/// which is exactly the order a heap would have produced for them.
 pub struct EventQueue {
     /// Events of the active cycle, sorted *descending* by canonical key
     /// (pop takes from the back). All share `time == cur_time`.
@@ -136,8 +143,17 @@ pub struct EventQueue {
     /// First wheel cycle the next activation scan needs to look at
     /// (cycles in `[floor, scan_from)` are known empty).
     scan_from: u64,
-    /// Far-future spillover (`time >= floor + horizon` at push time).
+    /// Far-future spillover (`time >= floor + horizon` at push time,
+    /// after the start).
     overflow: BinaryHeap<Event>,
+    /// The pre-start run: every event pushed before the first
+    /// activation. Unordered until `started`, then sorted *descending*
+    /// by canonical key (drained from the back).
+    run: Vec<Event>,
+    /// Earliest fire time in `run` while it is still unordered.
+    run_min: Option<u64>,
+    /// Set by the first activation, which sorts `run`.
+    started: bool,
     len: usize,
     seq: u64,
 }
@@ -162,6 +178,9 @@ impl EventQueue {
             floor: 0,
             scan_from: 0,
             overflow: BinaryHeap::new(),
+            run: Vec::new(),
+            run_min: None,
+            started: false,
             len: 0,
             seq: 0,
         }
@@ -185,7 +204,10 @@ impl EventQueue {
     /// rebuild share this; `len` is maintained by the callers).
     fn insert(&mut self, ev: Event) {
         let t = ev.time.0;
-        if t == self.cur_time && !self.cur.is_empty() {
+        if !self.started {
+            self.run_min = Some(self.run_min.map_or(t, |m| m.min(t)));
+            self.run.push(ev);
+        } else if t == self.cur_time && !self.cur.is_empty() {
             // Same-cycle insertion while the cycle is draining: keep
             // `cur` sorted (descending) so the remaining pops stay in
             // canonical order — a heap would do exactly this.
@@ -213,22 +235,40 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        let over_t = self.overflow.peek().map(|e| e.time.0);
+        let off_wheel = self.off_wheel_min();
         let end = self.floor + self.horizon();
         while self.scan_from < end {
             if !self.wheel[(self.scan_from & self.mask) as usize].is_empty() {
                 let w = self.scan_from;
-                return Some(over_t.map_or(w, |o| o.min(w)));
+                return Some(off_wheel.map_or(w, |o| o.min(w)));
             }
             self.scan_from += 1;
         }
-        over_t
+        off_wheel
     }
 
-    /// Activates cycle `t`: merges its wheel bucket with same-cycle
-    /// heap spillover into `cur`, sorted descending by canonical key.
+    /// Earliest fire time among the events not on the wheel: the
+    /// pre-start run and the spillover heap.
+    fn off_wheel_min(&self) -> Option<u64> {
+        let run_t = if self.started {
+            self.run.last().map(|e| e.time.0)
+        } else {
+            self.run_min
+        };
+        run_t.into_iter().chain(self.overflow.peek().map(|e| e.time.0)).min()
+    }
+
+    /// Activates cycle `t`: merges its wheel bucket with the run's and
+    /// the heap's events due the same cycle into `cur`, sorted
+    /// descending by canonical key. The first activation sorts the
+    /// pre-start run.
     fn activate(&mut self, t: u64) {
         debug_assert!(self.cur.is_empty());
+        if !self.started {
+            self.started = true;
+            self.run
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.canonical_key()));
+        }
         if t < self.floor + self.horizon() {
             let slot = &mut self.wheel[(t & self.mask) as usize];
             std::mem::swap(&mut self.cur, slot);
@@ -236,8 +276,23 @@ impl EventQueue {
         while self.overflow.peek().is_some_and(|e| e.time.0 == t) {
             self.cur.push(self.overflow.pop().expect("peeked"));
         }
-        self.cur
-            .sort_unstable_by_key(|e| std::cmp::Reverse(e.canonical_key()));
+        let sorted = if self.run.last().is_some_and(|e| e.time.0 == t) {
+            // The run's tail is already in drain order: alone, it needs
+            // no sort.
+            let alone = self.cur.is_empty();
+            let due = self.run.partition_point(|e| e.time.0 > t);
+            self.cur.extend(self.run.drain(due..));
+            if self.run.is_empty() {
+                self.run = Vec::new();
+            }
+            alone
+        } else {
+            false
+        };
+        if !sorted {
+            self.cur
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.canonical_key()));
+        }
         self.cur_time = t;
         self.floor = t;
         self.scan_from = t + 1;
@@ -275,15 +330,29 @@ impl EventQueue {
     /// semantics: when a switch or link dies, the packets committed to
     /// it are claimed (and counted) instead of silently firing later.
     pub fn extract(&mut self, mut pred: impl FnMut(&EventKind) -> bool) -> Vec<Event> {
-        let mut all: Vec<Event> = Vec::with_capacity(self.len);
+        // The run is filtered in place, which keeps a started run in
+        // drain order.
+        let mut out = Vec::new();
+        self.run.retain(|e| {
+            let hit = pred(&e.kind);
+            if hit {
+                out.push(*e);
+            }
+            !hit
+        });
+        if !self.started {
+            self.run_min = self.run.iter().map(|e| e.time.0).min();
+        }
+        let mut all: Vec<Event> = Vec::with_capacity(self.len - out.len());
         all.append(&mut self.cur);
         for slot in &mut self.wheel {
             all.append(slot);
         }
         all.extend(std::mem::take(&mut self.overflow));
-        let (mut out, keep): (Vec<Event>, Vec<Event>) =
+        let (hits, keep): (Vec<Event>, Vec<Event>) =
             all.into_iter().partition(|e| pred(&e.kind));
-        self.len = keep.len();
+        out.extend(hits);
+        self.len = self.run.len() + keep.len();
         for ev in keep {
             // Original `seq` values are preserved, so the surviving
             // events keep their canonical order exactly.
@@ -302,16 +371,16 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        let over_t = self.overflow.peek().map(|e| e.time.0);
+        let off_wheel = self.off_wheel_min();
         let end = self.floor + self.horizon();
         let mut t = self.scan_from;
         while t < end {
             if !self.wheel[(t & self.mask) as usize].is_empty() {
-                return Some(over_t.map_or(t, |o| o.min(t)));
+                return Some(off_wheel.map_or(t, |o| o.min(t)));
             }
             t += 1;
         }
-        over_t
+        off_wheel
     }
 
     /// Number of pending events.
@@ -338,15 +407,17 @@ impl EventQueue {
             all.extend(slot.iter().copied());
         }
         all.extend(self.overflow.iter().copied());
+        all.extend(self.run.iter().copied());
         all.sort_by_key(Event::canonical_key);
         (all, self.seq)
     }
 
     /// Rebuilds a queue from a [`EventQueue::snapshot_events`] capture.
-    /// Placement (wheel bucket vs spillover) may differ from the
-    /// original queue, but drain order is canonical-key driven and
-    /// therefore identical; `seq` continues the original counter so
-    /// later pushes keep their tie-break position.
+    /// Placement differs from the original queue (the rebuilt queue has
+    /// not started, so every event joins the pre-start run), but drain
+    /// order is canonical-key driven and therefore identical; `seq`
+    /// continues the original counter so later pushes keep their
+    /// tie-break position.
     #[must_use]
     pub fn restore(horizon: u64, events: Vec<Event>, seq: u64) -> Self {
         let mut q = Self::with_horizon(horizon);
@@ -362,6 +433,17 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ddpm_topology::NodeId;
+    use proptest::prelude::*;
+
+    /// A queue past its first activation, so later far-future pushes
+    /// take the spillover heap instead of the pre-start run.
+    fn started(horizon: u64) -> EventQueue {
+        let mut q = EventQueue::with_horizon(horizon);
+        q.push(SimTime(0), EventKind::Watchdog);
+        assert_eq!(q.pop().unwrap().kind, EventKind::Watchdog);
+        q
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -415,7 +497,6 @@ mod tests {
 
     #[test]
     fn canonical_order_is_insertion_independent() {
-        use ddpm_topology::NodeId;
         // Same cycle, inserted in scrambled order: faults first (in
         // schedule order), then the watchdog, then packet events by
         // handle — regardless of insertion sequence.
@@ -461,7 +542,7 @@ mod tests {
         // Events far beyond the wheel horizon (watchdog sweeps, fault
         // schedules) spill to the heap and still pop in order, merged
         // with near events — including a same-cycle wheel/heap merge.
-        let mut q = EventQueue::with_horizon(8);
+        let mut q = started(8);
         let h = q.horizon();
         q.push(SimTime(10 * h), EventKind::Inject { pkt: 0 });
         q.push(SimTime(2), EventKind::Inject { pkt: 1 });
@@ -473,7 +554,7 @@ mod tests {
 
     #[test]
     fn spillover_merges_with_wheel_bucket_at_the_same_cycle() {
-        let mut q = EventQueue::with_horizon(8);
+        let mut q = started(8);
         let h = q.horizon();
         let t = 2 * h + 3;
         // Scheduled while `t` is beyond the horizon → heap.
@@ -548,8 +629,33 @@ mod tests {
     }
 
     #[test]
+    fn pre_start_events_drain_from_one_sorted_run() {
+        // The up-front timeline — far-future times included — lands in
+        // the run, not the heap, and merges with later wheel and heap
+        // events at the same cycle in canonical order.
+        let mut q = EventQueue::with_horizon(8);
+        let h = q.horizon();
+        for (t, pkt) in [(3 * h, 9), (5, 4), (3 * h, 2), (5, 1), (40 * h, 0)] {
+            q.push(SimTime(t), EventKind::Inject { pkt });
+        }
+        assert_eq!((q.run.len(), q.overflow.len()), (5, 0));
+        assert_eq!(q.next_time(), Some(5), "the unsorted run still peeks");
+        assert_eq!(q.pop().unwrap().canonical_key().2, 1);
+        q.push(SimTime(3 * h), EventKind::Arrive { pkt: 5, node: 0, from: 0 });
+        assert_eq!(q.overflow.len(), 1, "a far push after the start spills");
+        q.push(SimTime(h), EventKind::Reroute { pkt: 7, node: 0 });
+        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.0, e.canonical_key().2))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(5, 4), (h, 7), (3 * h, 2), (3 * h, 5), (3 * h, 9), (40 * h, 0)]
+        );
+        assert_eq!(q.run.capacity(), 0, "a drained run frees its storage");
+    }
+
+    #[test]
     fn snapshot_restore_preserves_drain_order_and_seq() {
-        use ddpm_topology::NodeId;
         let mut q = EventQueue::with_horizon(8);
         let h = q.horizon();
         q.push(SimTime(4), EventKind::Inject { pkt: 3 });
@@ -574,5 +680,125 @@ mod tests {
         let a: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.canonical_key()).collect();
         let b: Vec<_> = std::iter::from_fn(|| r.pop()).map(|e| e.canonical_key()).collect();
         assert_eq!(a, b, "restored queue drains identically");
+    }
+
+    /// An event kind from a small code: packet events on a few handles,
+    /// so same-cycle ties are common, plus watchdog sweeps and faults.
+    fn kind_of(code: u64) -> EventKind {
+        let pkt = (code / 5 % 12) as usize;
+        match code % 5 {
+            0 => EventKind::Inject { pkt },
+            1 => EventKind::Arrive {
+                pkt,
+                node: (code / 60 % 4) as u32,
+                from: 0,
+            },
+            2 => EventKind::Reroute { pkt, node: 1 },
+            3 => EventKind::Watchdog,
+            _ => EventKind::Fault {
+                event: FaultEvent::SwitchDown {
+                    node: NodeId((code / 60 % 4) as u32),
+                },
+            },
+        }
+    }
+
+    /// A look-ahead from a code: the same cycle, inside the 64-cycle
+    /// wheel, or far past it.
+    fn ahead(code: u64) -> u64 {
+        match code % 4 {
+            0 => 0,
+            1 => code % 8,
+            2 => code % 64,
+            _ => 64 + code % 5000,
+        }
+    }
+
+    /// The canonical order a plain `BinaryHeap<Event>` would drain.
+    fn heap_order(r: &BinaryHeap<Event>) -> Vec<Event> {
+        let mut v = r.clone().into_sorted_vec();
+        v.reverse();
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The wheel, the pre-start run and the spillover heap together
+        /// drain exactly like one `BinaryHeap<Event>`: through a bulk
+        /// pre-start batch (same-cycle ties, far-future times), pushes
+        /// after the start, mid-run `extract`, `snapshot_events` /
+        /// `restore` round trips and `pop_before` segments.
+        #[test]
+        fn queue_drains_like_a_reference_heap(
+            batch in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..120),
+            ops in proptest::collection::vec((0u8..10, 0u64..u64::MAX, 0u64..u64::MAX), 0..240),
+        ) {
+            let mut q = EventQueue::with_horizon(8);
+            let mut r: BinaryHeap<Event> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let push = |q: &mut EventQueue, r: &mut BinaryHeap<Event>, seq: &mut u64, t: u64, kind| {
+                q.push(SimTime(t), kind);
+                r.push(Event { time: SimTime(t), seq: *seq, kind });
+                *seq += 1;
+            };
+            for &(a, b) in &batch {
+                // Pre-start: a small spread of times gives ties; every
+                // fourth code reaches far past the wheel.
+                push(&mut q, &mut r, &mut seq, ahead(a) * (1 + a % 3), kind_of(b));
+            }
+            for &(op, a, b) in &ops {
+                match op {
+                    0..=3 => push(&mut q, &mut r, &mut seq, now + ahead(a), kind_of(b)),
+                    4 | 5 => {
+                        let got = q.pop();
+                        prop_assert_eq!(got, r.pop());
+                        if let Some(e) = got {
+                            now = e.time.0;
+                        }
+                    }
+                    6 => {
+                        let end = now + ahead(a);
+                        let want = if r.peek().is_some_and(|e| e.time.0 < end) {
+                            r.pop()
+                        } else {
+                            None
+                        };
+                        let got = q.pop_before(end);
+                        prop_assert_eq!(got, want);
+                        if let Some(e) = got {
+                            now = e.time.0;
+                        }
+                    }
+                    7 => {
+                        let m = (a % 3) as usize;
+                        let hit = |k: &EventKind| match *k {
+                            EventKind::Inject { pkt }
+                            | EventKind::Arrive { pkt, .. }
+                            | EventKind::Reroute { pkt, .. } => pkt % 3 == m,
+                            EventKind::Fault { .. } => b % 2 == 0,
+                            EventKind::Watchdog => false,
+                        };
+                        let (want, keep): (Vec<Event>, Vec<Event>) =
+                            heap_order(&r).into_iter().partition(|e| hit(&e.kind));
+                        r = keep.into_iter().collect();
+                        prop_assert_eq!(q.extract(hit), want);
+                    }
+                    8 => {
+                        let (events, qseq) = q.snapshot_events();
+                        prop_assert_eq!(&events, &heap_order(&r));
+                        prop_assert_eq!(qseq, seq);
+                        q = EventQueue::restore(q.horizon(), events, qseq);
+                    }
+                    _ => {
+                        prop_assert_eq!(q.next_time(), r.peek().map(|e| e.time.0));
+                    }
+                }
+                prop_assert_eq!(q.len(), r.len());
+            }
+            let rest: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
+            prop_assert_eq!(rest, heap_order(&r));
+        }
     }
 }
