@@ -10,6 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ddpm_core::{
     AmsScheme, Authenticated, BitDiffPpm, DdpmScheme, DpmScheme, EdgePpm, FmsScheme, XorPpm,
 };
+use ddpm_net::ipv4::DEFAULT_TTL;
 use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
 use ddpm_sim::{MarkEnv, Marker, NoMarking};
 use ddpm_topology::{NodeId, Topology};
@@ -43,11 +44,19 @@ fn bench_scheme(c: &mut Criterion, name: &str, topo: &Topology, marker: &dyn Mar
     // Oscillate the hop (cur→next, next→cur, …) so accumulated distance
     // vectors stay bounded however many iterations Criterion runs — a
     // packet ping-ponging one link is a legal walk for every scheme.
+    // As in the simulator, every switch after the source decrements TTL
+    // on arrival before it marks, so a keyed tag is checked against the
+    // previous switch's TTL. When TTL runs out the packet is injected
+    // afresh (once per `DEFAULT_TTL - 1` hops).
     let mut flip = false;
     c.bench_function(format!("mark/on_forward/{name}"), |b| {
         b.iter(|| {
             let (a, z) = if flip { (&next, &cur) } else { (&cur, &next) };
             flip = !flip;
+            if !pkt.header.decrement_ttl() {
+                pkt.header.ttl = DEFAULT_TTL;
+                marker.on_inject(&mut pkt, a, &env);
+            }
             marker.on_forward(black_box(&mut pkt), a, z, &env, &mut rng);
         });
     });
@@ -78,6 +87,9 @@ fn marking_benches(c: &mut Criterion) {
     let auth =
         Authenticated::new(DdpmScheme::new(&mesh).unwrap(), "auth-ddpm", 0xA117, 8).unwrap();
     bench_scheme(c, "auth-ddpm-mesh8x8", &mesh, &auth);
+    let auth_torus =
+        Authenticated::new(DdpmScheme::new(&torus).unwrap(), "auth-ddpm", 0xA117, 8).unwrap();
+    bench_scheme(c, "auth-ddpm-torus8x8", &torus, &auth_torus);
 
     // The header-rewrite tax every marking switch pays on real IP
     // hardware: recomputing the checksum after touching the MF.

@@ -29,7 +29,7 @@ use ddpm_topology::{FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde_json::json;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Scenario parameters.
 pub struct E2eScenario {
@@ -173,12 +173,14 @@ pub fn run(ctx: &RunCtx) -> Report {
     let mut identified: Vec<(NodeId, u64)> = census.into_iter().collect();
     identified.sort_by_key(|&(n, c)| (std::cmp::Reverse(c), n));
     let threshold = ctx.scaled(50);
-    let identified_sources: HashSet<NodeId> = identified
+    // Ordered sets: the report lists sources in ascending node order, so
+    // two runs at one seed print identical text and JSON.
+    let identified_sources: BTreeSet<NodeId> = identified
         .iter()
         .filter(|&&(_, c)| c >= threshold)
         .map(|&(n, _)| n)
         .collect();
-    let truth: HashSet<NodeId> = sc.zombies.iter().copied().collect();
+    let truth: BTreeSet<NodeId> = sc.zombies.iter().copied().collect();
     let precision_ok = identified_sources.is_subset(&truth);
     let recall_ok = truth.is_subset(&identified_sources);
 
@@ -285,5 +287,28 @@ mod tests {
             before > after,
             "denial of service must improve: {before} -> {after}"
         );
+    }
+
+    #[test]
+    fn quick_run_lists_sources_in_order_and_repeats_exactly() {
+        let ctx = RunCtx {
+            quick: true,
+            ..RunCtx::default()
+        };
+        let first = run(&ctx);
+        let ids: Vec<u64> = first.json["identified"]
+            .as_array()
+            .expect("identified is a list")
+            .iter()
+            .map(|v| v.as_u64().expect("node ids are integers"))
+            .collect();
+        assert!(!ids.is_empty(), "{}", first.body);
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "identified sources not ascending: {ids:?}"
+        );
+        let second = run(&ctx);
+        assert_eq!(first.json, second.json);
+        assert_eq!(first.body, second.body);
     }
 }

@@ -254,7 +254,18 @@ impl DistanceCodec {
                     let k = i32::from(self.dims[d]);
                     let mut v = cur + i32::from(dd);
                     if matches!(self.kind, TopologyKind::Torus) {
-                        v = v.rem_euclid(k);
+                        // An honest field plus a unit step lies in
+                        // `[−k, 2k)`: wrap by comparison. Only a tampered
+                        // field or delta takes the division.
+                        v = if (0..k).contains(&v) {
+                            v
+                        } else if (-k..0).contains(&v) {
+                            v + k
+                        } else if (k..2 * k).contains(&v) {
+                            v - k
+                        } else {
+                            v.rem_euclid(k)
+                        };
                         if v >= (k + 1) / 2 {
                             v -= k;
                         }
@@ -419,6 +430,108 @@ mod tests {
         let v = topo.expected_distance(&s, &d);
         let mf = codec.encode(&v).unwrap();
         assert_eq!(codec.recover_source(&topo, &d, mf), Some(s));
+    }
+
+    /// [`DistanceCodec::apply_hop`] with every wrap done by `rem_euclid`.
+    fn rem_euclid_apply_hop(
+        c: &DistanceCodec,
+        mf: &mut MarkingField,
+        delta: &Coord,
+    ) -> Result<(), CodecError> {
+        for d in 0..c.dims.len() {
+            let dd = delta.get(d);
+            if dd == 0 {
+                continue;
+            }
+            let w = c.widths[d];
+            let raw = mf.get_bits(c.offsets[d], w);
+            let k = i32::from(c.dims[d]);
+            let stored: u16 = match (c.kind, c.mode) {
+                (TopologyKind::Hypercube, _) => (raw ^ (dd as u16)) & 1,
+                (_, CodecMode::Signed) => {
+                    let shift = 16 - w;
+                    let mut v = i32::from(((raw << shift) as i16) >> shift) + i32::from(dd);
+                    if matches!(c.kind, TopologyKind::Torus) {
+                        v = v.rem_euclid(k);
+                        if v >= (k + 1) / 2 {
+                            v -= k;
+                        }
+                    }
+                    if v < -(1i32 << (w - 1)) || v > (1i32 << (w - 1)) - 1 {
+                        return Err(CodecError::ComponentOutOfRange {
+                            dim: d,
+                            value: v as i16,
+                        });
+                    }
+                    (v as u32 & ((1u32 << w) - 1)) as u16
+                }
+                (_, CodecMode::Residue) => (i32::from(raw) + i32::from(dd)).rem_euclid(k) as u16,
+            };
+            mf.set_bits(c.offsets[d], w, stored);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn apply_hop_equals_its_rem_euclid_form_on_every_raw_field() {
+        let mut topos: Vec<Topology> = (2..=12).map(|k| Topology::torus(&[k])).collect();
+        topos.extend([
+            Topology::torus(&[8, 8]),
+            Topology::torus(&[5, 7]),
+            Topology::torus(&[3, 4, 5]),
+            Topology::torus(&[128, 128]),
+            Topology::mesh(&[5, 16]),
+            Topology::hypercube(4),
+        ]);
+        for topo in topos {
+            for mode in [CodecMode::Signed, CodecMode::Residue] {
+                let Ok(codec) = DistanceCodec::for_topology(&topo, mode) else {
+                    continue;
+                };
+                for d in 0..topo.ndims() {
+                    let k = topo.dim_size(d) as i16;
+                    // Honest unit steps, then deltas a tampered or
+                    // malformed call could pass: past one and two radii,
+                    // and the extremes.
+                    let deltas = [
+                        -1,
+                        1,
+                        -2,
+                        2,
+                        k - 1,
+                        -k + 1,
+                        k,
+                        -k,
+                        k + 1,
+                        -k - 1,
+                        2 * k,
+                        -2 * k,
+                        2 * k + 1,
+                        -2 * k - 1,
+                        i16::MAX,
+                        i16::MIN,
+                    ];
+                    // Every raw sub-field value: canonical, non-canonical
+                    // (a tampered field) and, in signed mode, the
+                    // extremes of the sign-extended range.
+                    for raw in 0..(1u16 << codec.widths[d]) {
+                        for dd in deltas {
+                            let mut base = MarkingField::new(0xA5C3);
+                            base.set_bits(codec.offsets[d], codec.widths[d], raw);
+                            let delta = Coord::zero(topo.ndims()).with(d, dd);
+                            let (mut got, mut want) = (base, base);
+                            let case = format!("{topo} {mode:?} dim {d} raw {raw:#x} delta {dd}");
+                            assert_eq!(
+                                codec.apply_hop(&mut got, &delta),
+                                rem_euclid_apply_hop(&codec, &mut want, &delta),
+                                "{case}"
+                            );
+                            assert_eq!(got, want, "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,12 @@ pub fn fully_into(
 
 /// One pass over the live neighbours of `cur`: the productive hops in
 /// neighbour order, then (with `misroute`) the others in neighbour
-/// order. The base distance `min_hops(cur, dst)` is computed once;
-/// misroutes are appended as found and each productive hop is inserted
-/// ahead of them, so the result matches a productive pass followed by a
-/// misroute pass without walking the neighbours twice.
+/// order. Each port is judged by the one dimension it changes
+/// ([`ddpm_topology::Topology::hop_is_productive`]), not by a distance
+/// over every dimension; misroutes are appended as found and each
+/// productive hop is inserted ahead of them, so the result matches a
+/// productive pass followed by a misroute pass without walking the
+/// neighbours twice.
 fn live_hops_into(
     ctx: &RouteCtx<'_>,
     cur: &Coord,
@@ -61,10 +63,9 @@ fn live_hops_into(
     misroute: bool,
     out: &mut Vec<Candidate>,
 ) {
-    let remaining = ctx.topo.min_hops(cur, dst);
     let mut split = out.len();
     ctx.for_each_live_neighbor(cur, |dir, next| {
-        if ctx.is_productive_from(remaining, &next, dst) {
+        if ctx.topo.hop_is_productive(cur, dir, dst) {
             out.insert(
                 split,
                 Candidate {

@@ -57,7 +57,9 @@ pub fn next_direction(topo: &Topology, cur: &Coord, dst: &Coord) -> Option<Direc
             }
             Topology::Torus(t) => {
                 let k = t.dims()[d] as i16;
-                let fwd = (dst.get(d) - cur.get(d)).rem_euclid(k);
+                // Both coordinates lie in `[0, k)`: wrap by compare-and-add.
+                let diff = dst.get(d) - cur.get(d);
+                let fwd = if diff < 0 { diff + k } else { diff };
                 // Shortest ring direction; ties (fwd == k/2) go Plus.
                 if i32::from(fwd) * 2 <= i32::from(k) {
                     Sign::Plus

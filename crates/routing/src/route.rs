@@ -22,19 +22,13 @@ impl<'a> RouteCtx<'a> {
     }
 
     /// True if the hop `cur → next` strictly reduces the remaining
-    /// minimal distance to `dst` — the productivity test shared by every
-    /// adaptive algorithm.
+    /// minimal distance to `dst` — the definition of a productive hop.
+    /// The routers judge a port by the one dimension it changes instead
+    /// ([`Topology::hop_is_productive`]), which agrees with this on
+    /// every neighbour.
     #[must_use]
     pub fn is_productive(&self, cur: &Coord, next: &Coord, dst: &Coord) -> bool {
-        self.is_productive_from(self.topo.min_hops(cur, dst), next, dst)
-    }
-
-    /// [`RouteCtx::is_productive`] against a precomputed
-    /// `remaining = min_hops(cur, dst)`: a router judging every
-    /// neighbour of `cur` computes the base distance once.
-    #[must_use]
-    pub fn is_productive_from(&self, remaining: u32, next: &Coord, dst: &Coord) -> bool {
-        self.topo.min_hops(next, dst) < remaining
+        self.topo.min_hops(next, dst) < self.topo.min_hops(cur, dst)
     }
 
     /// Live (non-faulty) neighbours of `cur`.

@@ -20,13 +20,12 @@ use crate::route::{Candidate, RouteCtx};
 use crate::state::RouteState;
 use ddpm_topology::{Coord, Direction, Topology};
 
-/// Pushes the hop `cur → dir` if its link is live; `remaining` is
-/// `min_hops(cur, dst)`, computed once per routing decision.
+/// Pushes the hop `cur → dir` if its link is live, judged productive by
+/// the one dimension it changes.
 fn push_if_live(
     ctx: &RouteCtx<'_>,
     cur: &Coord,
     dst: &Coord,
-    remaining: u32,
     dir: Direction,
     out: &mut Vec<Candidate>,
 ) {
@@ -35,7 +34,7 @@ fn push_if_live(
             out.push(Candidate {
                 next,
                 dir,
-                productive: ctx.is_productive_from(remaining, &next, dst),
+                productive: ctx.topo.hop_is_productive(cur, dir, dst),
             });
         }
     }
@@ -89,21 +88,20 @@ pub fn west_first_into(
     out: &mut Vec<Candidate>,
 ) {
     assert_mesh2d(ctx.topo, "west-first");
-    let remaining = ctx.topo.min_hops(cur, dst);
     let dx = dst.get(0) - cur.get(0);
     let west = Direction::minus(0);
     if dx < 0 {
         // Westward phase: legal only if the packet has moved nowhere but
         // west so far; otherwise it is stuck (blocked), by the model.
         if !state.moved_any_except(west) {
-            push_if_live(ctx, cur, dst, remaining, west, out);
+            push_if_live(ctx, cur, dst, west, out);
         }
         return;
     }
     // Adaptive phase: east, north, south — productive or not.
-    push_if_live(ctx, cur, dst, remaining, Direction::plus(0), out); // east
-    push_if_live(ctx, cur, dst, remaining, Direction::plus(1), out); // north
-    push_if_live(ctx, cur, dst, remaining, Direction::minus(1), out); // south
+    push_if_live(ctx, cur, dst, Direction::plus(0), out); // east
+    push_if_live(ctx, cur, dst, Direction::plus(1), out); // north
+    push_if_live(ctx, cur, dst, Direction::minus(1), out); // south
     order_productive_first(out);
 }
 
@@ -138,25 +136,24 @@ pub fn north_last_into(
     out: &mut Vec<Candidate>,
 ) {
     assert_mesh2d(ctx.topo, "north-last");
-    let remaining = ctx.topo.min_hops(cur, dst);
     let north = Direction::plus(1);
     let dx = dst.get(0) - cur.get(0);
     let dy = dst.get(1) - cur.get(1);
     if state.has_moved(north) {
         // Once the northward run starts it cannot be left.
         if dy > 0 {
-            push_if_live(ctx, cur, dst, remaining, north, out);
+            push_if_live(ctx, cur, dst, north, out);
         }
         return;
     }
     if dx == 0 && dy > 0 {
         // Start the final northward run.
-        push_if_live(ctx, cur, dst, remaining, north, out);
+        push_if_live(ctx, cur, dst, north, out);
         return;
     }
-    push_if_live(ctx, cur, dst, remaining, Direction::plus(0), out); // east
-    push_if_live(ctx, cur, dst, remaining, Direction::minus(0), out); // west
-    push_if_live(ctx, cur, dst, remaining, Direction::minus(1), out); // south
+    push_if_live(ctx, cur, dst, Direction::plus(0), out); // east
+    push_if_live(ctx, cur, dst, Direction::minus(0), out); // west
+    push_if_live(ctx, cur, dst, Direction::minus(1), out); // south
     order_productive_first(out);
 }
 
@@ -197,7 +194,6 @@ pub fn negative_first_into(
         ctx.topo
     );
     let n = ctx.topo.ndims();
-    let remaining = ctx.topo.min_hops(cur, dst);
     let needs_negative = (0..n).any(|d| dst.get(d) < cur.get(d));
     if needs_negative {
         // Negative moves are legal only before any positive move; a
@@ -205,12 +201,12 @@ pub fn negative_first_into(
         // is blocked (the prohibited positive→negative turn).
         if !state.moved_any_positive() {
             for d in 0..n {
-                push_if_live(ctx, cur, dst, remaining, Direction::minus(d), out);
+                push_if_live(ctx, cur, dst, Direction::minus(d), out);
             }
         }
     } else {
         for d in 0..n {
-            push_if_live(ctx, cur, dst, remaining, Direction::plus(d), out);
+            push_if_live(ctx, cur, dst, Direction::plus(d), out);
         }
     }
     order_productive_first(out);

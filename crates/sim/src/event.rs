@@ -81,14 +81,31 @@ impl Event {
     /// The canonical ordering key the queue drains by.
     #[must_use]
     pub fn canonical_key(&self) -> (u64, u8, u64, u64) {
-        let (rank, pkey) = match self.kind {
+        let (rank, pkey) = self.rank_pkey();
+        (self.time.0, rank, pkey, self.seq)
+    }
+
+    fn rank_pkey(&self) -> (u8, u64) {
+        match self.kind {
             EventKind::Fault { .. } => (0, 0),
             EventKind::Watchdog => (1, 0),
             EventKind::Inject { pkt }
             | EventKind::Arrive { pkt, .. }
             | EventKind::Reroute { pkt, .. } => (2, pkt as u64),
-        };
-        (self.time.0, rank, pkey, self.seq)
+        }
+    }
+
+    /// The canonical key without its time, packed into one integer as
+    /// `rank << 120 | pkey << 64 | seq`: among the events of one cycle
+    /// it orders exactly like [`Event::canonical_key`], and two keys
+    /// compare as two words instead of a four-field tuple.
+    fn cycle_key(&self) -> u128 {
+        let (rank, pkey) = self.rank_pkey();
+        debug_assert!(
+            pkey < 1 << 56,
+            "packet handle {pkey} overflows the packed key"
+        );
+        (u128::from(rank) << 120) | (u128::from(pkey) << 64) | u128::from(self.seq)
     }
 }
 
@@ -211,8 +228,8 @@ impl EventQueue {
             // Same-cycle insertion while the cycle is draining: keep
             // `cur` sorted (descending) so the remaining pops stay in
             // canonical order — a heap would do exactly this.
-            let key = ev.canonical_key();
-            let pos = self.cur.partition_point(|e| e.canonical_key() > key);
+            let key = ev.cycle_key();
+            let pos = self.cur.partition_point(|e| e.cycle_key() > key);
             self.cur.insert(pos, ev);
         } else if t >= self.floor + self.horizon() {
             self.overflow.push(ev);
@@ -280,7 +297,11 @@ impl EventQueue {
             // The run's tail is already in drain order: alone, it needs
             // no sort.
             let alone = self.cur.is_empty();
-            let due = self.run.partition_point(|e| e.time.0 > t);
+            // `t` is the earliest pending cycle, so the due events are
+            // the run's tail: count them back from the end rather than
+            // binary-search the whole run.
+            let tail = self.run.iter().rev().take_while(|e| e.time.0 == t).count();
+            let due = self.run.len() - tail;
             self.cur.extend(self.run.drain(due..));
             if self.run.is_empty() {
                 self.run = Vec::new();
@@ -290,8 +311,11 @@ impl EventQueue {
             false
         };
         if !sorted {
+            // Every event here fires at `t`, so the packed key orders
+            // them canonically; `seq` makes each key unique, so the
+            // unstable sort is deterministic.
             self.cur
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.canonical_key()));
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.cycle_key()));
         }
         self.cur_time = t;
         self.floor = t;
@@ -515,6 +539,42 @@ mod tests {
         assert!(matches!(kinds[1], EventKind::Watchdog));
         assert!(matches!(kinds[2], EventKind::Arrive { pkt: 2, .. }));
         assert!(matches!(kinds[3], EventKind::Inject { pkt: 9 }));
+    }
+
+    #[test]
+    fn packed_cycle_key_orders_like_the_canonical_key() {
+        let pkts = [0, 1, 2, 1 << 40, (1 << 56) - 1];
+        let seqs = [0, 1, 7, u64::MAX - 1, u64::MAX];
+        let mut kinds = vec![
+            EventKind::Watchdog,
+            EventKind::Fault {
+                event: FaultEvent::SwitchDown { node: NodeId(1) },
+            },
+        ];
+        for pkt in pkts {
+            kinds.push(EventKind::Inject { pkt });
+            kinds.push(EventKind::Arrive { pkt, node: 1, from: 0 });
+            kinds.push(EventKind::Reroute { pkt, node: 1 });
+        }
+        let events: Vec<Event> = kinds
+            .iter()
+            .flat_map(|&kind| {
+                seqs.iter().map(move |&seq| Event {
+                    time: SimTime(5),
+                    seq,
+                    kind,
+                })
+            })
+            .collect();
+        for a in &events {
+            for b in &events {
+                assert_eq!(
+                    a.cycle_key().cmp(&b.cycle_key()),
+                    a.canonical_key().cmp(&b.canonical_key()),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

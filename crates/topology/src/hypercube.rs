@@ -129,6 +129,14 @@ impl Hypercube {
         a.xor(b).hamming_weight()
     }
 
+    /// True if the hop from `cur` along `dir` shortens the minimal
+    /// distance to `dst`: the toggled bit differs from `dst`'s.
+    #[must_use]
+    pub fn hop_is_productive(&self, cur: &Coord, dir: Direction, dst: &Coord) -> bool {
+        let d = dir.dim();
+        cur.get(d) != dst.get(d)
+    }
+
     /// Per-hop displacement: the toggled dimension as a one-hot vector.
     ///
     /// Returns `None` if `from` and `to` are not neighbours.

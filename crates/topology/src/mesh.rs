@@ -159,6 +159,18 @@ impl Mesh {
         (*b - *a).l1_norm()
     }
 
+    /// True if the hop from `cur` along `dir` shortens the minimal
+    /// distance to `dst`: the hop moves toward `dst` in its one
+    /// dimension, i.e. its sign is the sign of `dst − cur` there.
+    #[must_use]
+    pub fn hop_is_productive(&self, cur: &Coord, dir: Direction, dst: &Coord) -> bool {
+        let d = dir.dim();
+        match dir.sign {
+            Sign::Plus => dst.get(d) > cur.get(d),
+            Sign::Minus => dst.get(d) < cur.get(d),
+        }
+    }
+
     /// Per-hop displacement `Δ = to − from` for a single mesh hop.
     ///
     /// Returns `None` if `from` and `to` are not neighbours.

@@ -308,6 +308,22 @@ impl Topology {
         }
     }
 
+    /// True if the hop from `cur` along port `dir` strictly reduces the
+    /// minimal distance to `dst` — the productivity test of adaptive
+    /// routing. Equal to `min_hops(next, dst) < min_hops(cur, dst)` for
+    /// `next = neighbor(cur, dir)` whenever that neighbour exists, but a
+    /// hop changes one dimension, so only that dimension is judged: the
+    /// ring offset on the torus, the sign of `dst − cur` on the mesh,
+    /// the differing bit on the hypercube.
+    #[must_use]
+    pub fn hop_is_productive(&self, cur: &Coord, dir: Direction, dst: &Coord) -> bool {
+        match self {
+            Topology::Mesh(m) => m.hop_is_productive(cur, dir, dst),
+            Topology::Torus(t) => t.hop_is_productive(cur, dir, dst),
+            Topology::Hypercube(h) => h.hop_is_productive(cur, dir, dst),
+        }
+    }
+
     /// Per-hop distance-vector increment `Δ` for the hop `from → to`
     /// (Fig. 4 of the paper: `Δ := Y − X`, with travel-direction semantics
     /// on the torus and XOR semantics on the hypercube).
@@ -506,6 +522,41 @@ mod tests {
         targets.dedup();
         assert_eq!(targets.len(), nbs.len(), "duplicate neighbour entries");
         assert_eq!(nbs.len(), 3); // one in dim 0 (radix 2), two in dim 1
+    }
+
+    #[test]
+    fn per_dimension_productivity_equals_the_distance_definition() {
+        let topos = [
+            Topology::mesh(&[5]),
+            Topology::mesh2d(5),
+            Topology::mesh(&[2, 4, 3]),
+            Topology::torus(&[2]),
+            Topology::torus(&[3]),
+            Topology::torus(&[2, 3]),
+            Topology::torus(&[4, 5]),
+            Topology::torus(&[8, 8]),
+            Topology::torus(&[3, 2, 4]),
+            Topology::hypercube(1),
+            Topology::hypercube(4),
+        ];
+        for topo in topos {
+            for cur in topo.all_nodes() {
+                for dir in topo.directions() {
+                    // Every port with a neighbour, both ring signs on a
+                    // radix-2 torus included.
+                    let Some(next) = topo.neighbor(&cur, dir) else {
+                        continue;
+                    };
+                    for dst in topo.all_nodes() {
+                        assert_eq!(
+                            topo.hop_is_productive(&cur, dir, &dst),
+                            topo.min_hops(&next, &dst) < topo.min_hops(&cur, &dst),
+                            "{topo}: {cur} -{dir:?}-> {next} toward {dst}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,22 @@
 use crate::coord::Coord;
 use crate::direction::{Direction, Sign};
 
+/// `v mod k` for `v` in `[−k, 2k)`: one compare-and-add instead of the
+/// integer division `rem_euclid` costs. The per-hop callers' operands
+/// are a coordinate in `[0, k)` plus a unit step, or the difference of
+/// two coordinates, so they always fall in that range.
+#[inline]
+fn wrap(v: i32, k: i32) -> i32 {
+    debug_assert!(-k <= v && v < 2 * k, "{v} outside [-{k}, {})", 2 * k);
+    if v < 0 {
+        v + k
+    } else if v >= k {
+        v - k
+    } else {
+        v
+    }
+}
+
 /// A k-ary n-cube with per-dimension radices `k_i ≥ 2`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Torus {
@@ -132,9 +148,9 @@ impl Torus {
         if d >= self.ndims() {
             return None;
         }
-        let k = i16::try_from(self.dims[d]).expect("radix fits i16");
-        let v = (c.get(d) + dir.sign.delta()).rem_euclid(k);
-        Some(c.with(d, v))
+        let k = i32::from(self.dims[d]);
+        let v = wrap(i32::from(c.get(d)) + i32::from(dir.sign.delta()), k);
+        Some(c.with(d, v as i16))
     }
 
     /// All `2n` port directions.
@@ -170,11 +186,32 @@ impl Torus {
         debug_assert!(self.contains(a) && self.contains(b));
         (0..self.ndims())
             .map(|d| {
-                let k = u32::from(self.dims[d]);
-                let diff = (b.get(d) - a.get(d)).rem_euclid(self.dims[d] as i16) as u32;
-                diff.min(k - diff)
+                let k = i32::from(self.dims[d]);
+                let diff = wrap(i32::from(b.get(d)) - i32::from(a.get(d)), k);
+                diff.min(k - diff) as u32
             })
             .sum()
+    }
+
+    /// True if the hop from `cur` along `dir` shortens the minimal
+    /// distance to `dst`. The hop changes one dimension, so only that
+    /// ring is judged: with the forward offset `f = (dst − cur) mod k`,
+    /// `+` is productive iff `0 < f ≤ k/2` and `−` iff `f ≥ k/2`, `f ≠ 0`
+    /// (both on a tie, and both on the radix-2 ring whose two ports
+    /// reach the same neighbour). Equal to
+    /// `min_hops(neighbor(cur, dir), dst) < min_hops(cur, dst)`, without
+    /// a distance over every dimension.
+    #[must_use]
+    pub fn hop_is_productive(&self, cur: &Coord, dir: Direction, dst: &Coord) -> bool {
+        debug_assert!(self.contains(cur) && self.contains(dst));
+        let d = dir.dim();
+        let k = i32::from(self.dims[d]);
+        let fwd = wrap(i32::from(dst.get(d)) - i32::from(cur.get(d)), k);
+        fwd != 0
+            && match dir.sign {
+                Sign::Plus => 2 * fwd <= k,
+                Sign::Minus => 2 * fwd >= k,
+            }
     }
 
     /// Reduces an accumulated distance vector to the canonical symmetric
@@ -216,8 +253,8 @@ impl Torus {
             }
         }
         let d = changed?;
-        let k = self.dims[d] as i16;
-        let fwd = (to.get(d) - from.get(d)).rem_euclid(k);
+        let k = i32::from(self.dims[d]);
+        let fwd = wrap(i32::from(to.get(d)) - i32::from(from.get(d)), k);
         let delta = if fwd == 1 {
             1
         } else if fwd == k - 1 {
@@ -364,6 +401,78 @@ mod tests {
         assert_eq!(t.hop_displacement(&a, &Coord::new(&[2, 0])), None);
         assert_eq!(t.hop_displacement(&a, &Coord::new(&[1, 1])), None);
         assert_eq!(t.hop_displacement(&a, &a), None);
+    }
+
+    /// Tori with every radix 2..=12 in every dimension position, in
+    /// one to three dimensions.
+    fn radix_sweep() -> Vec<Torus> {
+        let mut out = Vec::new();
+        for k in 2..=12 {
+            out.push(Torus::new(&[k]));
+            for j in [2, 3, 12] {
+                out.push(Torus::new(&[k, j]));
+                out.push(Torus::new(&[j, k]));
+            }
+            out.push(Torus::new(&[k, 2, 3]));
+            out.push(Torus::new(&[3, k, 2]));
+            out.push(Torus::new(&[2, 3, k]));
+        }
+        out
+    }
+
+    fn nodes(t: &Torus) -> Vec<Coord> {
+        (0..t.num_nodes() as u32).map(|i| t.coord(i)).collect()
+    }
+
+    #[test]
+    fn compare_and_add_wraps_equal_their_rem_euclid_forms() {
+        for t in radix_sweep() {
+            let all = nodes(&t);
+            for a in &all {
+                for d in 0..t.ndims() {
+                    let k = t.dims()[d] as i16;
+                    for dir in [Direction::plus(d), Direction::minus(d)] {
+                        let want = a.with(d, (a.get(d) + dir.sign.delta()).rem_euclid(k));
+                        assert_eq!(t.neighbor(a, dir), Some(want), "{t:?} {a} {dir:?}");
+                    }
+                }
+                for b in &all {
+                    let want: u32 = (0..t.ndims())
+                        .map(|d| {
+                            let k = t.dims()[d] as i16;
+                            let diff = (b.get(d) - a.get(d)).rem_euclid(k);
+                            diff.min(k - diff) as u32
+                        })
+                        .sum();
+                    assert_eq!(t.min_hops(a, b), want, "{t:?} {a} {b}");
+                    assert_eq!(
+                        t.hop_displacement(a, b),
+                        rem_euclid_displacement(&t, a, b),
+                        "{t:?} {a} {b}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// [`Torus::hop_displacement`] as defined by `rem_euclid`.
+    fn rem_euclid_displacement(t: &Torus, from: &Coord, to: &Coord) -> Option<Coord> {
+        let changed: Vec<usize> = (0..t.ndims())
+            .filter(|&d| from.get(d) != to.get(d))
+            .collect();
+        let [d] = changed[..] else {
+            return None;
+        };
+        let k = t.dims()[d] as i16;
+        let fwd = (to.get(d) - from.get(d)).rem_euclid(k);
+        let delta = if fwd == 1 {
+            1
+        } else if fwd == k - 1 {
+            -1
+        } else {
+            return None;
+        };
+        Some(Coord::zero(t.ndims()).with(d, delta))
     }
 
     #[test]
