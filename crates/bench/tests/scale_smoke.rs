@@ -1,13 +1,17 @@
-//! Release-only memory-ceiling regression for the Table 3 scale path.
+//! Release-only memory-ceiling regressions for both injection paths.
 //!
 //! E-SCALE's claim is that a full-fabric flood runs in a bounded
 //! footprint: the wave-staged injector keeps the packet arena and the
 //! staged backlog proportional to the in-flight window, never the
-//! schedule length. This test re-runs the 128×128-mesh cell (the
+//! schedule length. The first test re-runs the 128×128-mesh cell (the
 //! largest 2-D fabric Table 3 covers) and pins hard byte ceilings on
 //! the peaks [`ddpm_sim::SimStats`] reports, so a regression that
 //! reintroduces whole-schedule materialisation — or fattens the
 //! per-packet arena rows — fails CI instead of silently eating memory.
+//! The second pins the eager path ([`Simulation::schedule`] before the
+//! first cycle): a scheduled packet may cost its slot row and its
+//! stored packet, but its boxed cold record only while it is in
+//! flight.
 //!
 //! Measured peaks (2026-08, full cell, 32 000 packets): the arena
 //! tops out at 1 868 696 B and the staged backlog at 4 111 packets
@@ -22,7 +26,12 @@
 
 use ddpm_bench::exp_scale;
 use ddpm_bench::RunCtx;
-use ddpm_topology::Topology;
+use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
+use ddpm_routing::{Router, SelectionPolicy};
+use ddpm_sim::{NoMarking, SimConfig, SimTime, Simulation};
+use ddpm_topology::{FaultSet, NodeId, Topology};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// Ceiling on the in-flight packet arena for the 128×128 cell.
 const ARENA_BUDGET_BYTES: u64 = 4 << 20;
@@ -70,5 +79,78 @@ fn mesh128_flood_stays_under_committed_memory_budget() {
          draining stopped bounding the schedule",
         cell.staged_peak,
         STAGED_BUDGET_PKTS
+    );
+}
+
+/// Packets in the eager flood.
+const EAGER_PACKETS: u64 = 100_000;
+/// One arena slot row: generation, flags, wire MF, last switch, two
+/// counters, three timestamps and the cold-record pointer.
+const SLOT_ROW_BYTES: u64 = 51;
+/// One packet waiting in the pre-start store.
+const STORED_PACKET_BYTES: u64 = 48;
+/// One boxed cold record: packet, route state, RNG stream and path.
+const COLD_RECORD_BYTES: u64 = 120;
+/// Cold records for packets in flight at once. The flood below loads
+/// each port to about a quarter of its capacity and keeps a few
+/// hundred packets in flight; this allows 4 096. Measured (2026-10):
+/// the arena peaks at 9 951 480 B, 429 records above the slots and the
+/// store, under a 10 391 520 B budget; holding one cold record per
+/// scheduled packet reads 17 100 000 B.
+const IN_FLIGHT_ALLOWANCE: u64 = 4_096 * COLD_RECORD_BYTES;
+
+#[test]
+fn eager_flood_arena_tracks_packets_in_flight() {
+    if cfg!(debug_assertions) {
+        eprintln!("scale_smoke: skipped in debug (release-only memory gate)");
+        return;
+    }
+    let budget = EAGER_PACKETS * (SLOT_ROW_BYTES + STORED_PACKET_BYTES) + IN_FLIGHT_ALLOWANCE;
+    assert!(
+        EAGER_PACKETS * (SLOT_ROW_BYTES + COLD_RECORD_BYTES) > budget,
+        "the budget must refuse one cold record per scheduled packet"
+    );
+    let topo = Topology::torus(&[16, 16]);
+    let map = AddrMap::for_topology(&topo);
+    let nodes = topo.num_nodes();
+    let marker = NoMarking;
+    let mut sim = Simulation::new(
+        &topo,
+        &FaultSet::none(),
+        Router::DimensionOrder,
+        SelectionPolicy::First,
+        &marker,
+        SimConfig::seeded(0xEA6E),
+    );
+    // Every node sends one packet every 32 cycles to a random other
+    // node: 16×16 torus, 8 hops on average, 4 cycles per packet per port.
+    let mut rng = SmallRng::seed_from_u64(0xF100D);
+    for k in 0..EAGER_PACKETS {
+        let src = NodeId((k % nodes) as u32);
+        let dst = loop {
+            let d = NodeId(rng.gen_range(0..nodes as u32));
+            if d != src {
+                break d;
+            }
+        };
+        let packet = Packet {
+            id: PacketId(k),
+            header: Ipv4Header::new(map.ip_of(src), map.ip_of(dst), Protocol::Udp, 64),
+            l4: L4::udp(1, 7),
+            true_source: src,
+            dest_node: dst,
+            class: TrafficClass::Attack,
+        };
+        sim.schedule(SimTime(k / nodes * 32 + k % 32), packet);
+    }
+    let stats = sim.run();
+    let total = stats.total();
+    assert_eq!(total.injected, EAGER_PACKETS);
+    assert_eq!(total.delivered + total.dropped(), EAGER_PACKETS);
+    assert!(
+        stats.peak_arena_bytes <= budget,
+        "eager packet arena peaked at {} B, budget {budget} B — scheduled \
+         packets hold their cold records before injection",
+        stats.peak_arena_bytes
     );
 }

@@ -203,6 +203,12 @@ impl EventQueue {
         }
     }
 
+    /// Has the first activation happened (is the pre-start run
+    /// closed)?
+    pub(crate) fn is_started(&self) -> bool {
+        self.started
+    }
+
     /// The wheel's look-ahead span in cycles.
     #[must_use]
     pub fn horizon(&self) -> u64 {
@@ -303,8 +309,11 @@ impl EventQueue {
             let tail = self.run.iter().rev().take_while(|e| e.time.0 == t).count();
             let due = self.run.len() - tail;
             self.cur.extend(self.run.drain(due..));
-            if self.run.is_empty() {
-                self.run = Vec::new();
+            // Release the drained part as the run empties: halving the
+            // buffer whenever it is less than half full copies each
+            // event O(1) times.
+            if self.run.len() < self.run.capacity() / 2 {
+                self.run.shrink_to_fit();
             }
             alone
         } else {
@@ -367,7 +376,9 @@ impl EventQueue {
         if !self.started {
             self.run_min = self.run.iter().map(|e| e.time.0).min();
         }
-        let mut all: Vec<Event> = Vec::with_capacity(self.len - out.len());
+        // Everything pending that is not in the run (filtered in place
+        // above) moves through `all`.
+        let mut all: Vec<Event> = Vec::with_capacity(self.len - out.len() - self.run.len());
         all.append(&mut self.cur);
         for slot in &mut self.wheel {
             all.append(slot);

@@ -160,6 +160,12 @@ const F_UNDER_FAULT: u8 = 1;
 const F_LAUNCHED: u8 = 1 << 1;
 const F_ESCAPED: u8 = 1 << 2;
 
+/// Packets per chunk of the pre-start store ([`Pkts`]): 48 KiB, small
+/// enough that the allocator serves a chunk from memory an earlier run
+/// in the process freed instead of mapping fresh pages, and the store
+/// grows without copying.
+const STORE_CHUNK: usize = 1024;
+
 /// Panic message shared by every accessor that requires residency.
 const RESIDENT: &str = "packet resident in the arena";
 
@@ -178,6 +184,13 @@ const COORD_CACHE_MAX_NODES: u64 = 1 << 17;
 /// packet, reclaimed the moment the packet is delivered or dropped. At
 /// Table 3 scale that is the difference between a dead slot costing a
 /// full `InFlight` and costing ~50 bytes of scalars.
+///
+/// A packet scheduled before the first cycle has no cold record until
+/// its `Inject` fires: it waits as a bare [`Packet`] in the pre-start
+/// `store`, and its cold record is built then, equal to the one
+/// [`Simulation::schedule`] would have boxed up front. An eager run's
+/// arena therefore grows with the packets in flight, not with the
+/// schedule.
 ///
 /// Handle indices are never recycled — the index doubles as the
 /// canonical `pkey` and the per-packet RNG seed — and the slot's
@@ -205,6 +218,16 @@ struct Pkts {
     cold: Vec<Option<Box<PktCold>>>,
     /// Slots currently holding a cold record.
     resident: usize,
+    /// The pre-start store: the packet of every slot scheduled before
+    /// the first cycle and not injected yet, indexed by handle (`None`
+    /// for every other slot) in chunks of [`STORE_CHUNK`]. Released
+    /// whole when its last packet is injected, so a run that never
+    /// stores pays nothing for it.
+    store: Vec<Box<[Option<Packet>]>>,
+    /// Handles below this are covered by `store`.
+    store_end: usize,
+    /// Occupied entries of `store`.
+    stored: usize,
     /// High-water mark of [`Pkts::bytes`] — the arena term of the
     /// peak-memory telemetry ([`SimStats::peak_arena_bytes`]).
     peak_bytes: u64,
@@ -224,6 +247,9 @@ impl Pkts {
             escaped_at: Vec::new(),
             cold: Vec::new(),
             resident: 0,
+            store: Vec::new(),
+            store_end: 0,
+            stored: 0,
             peak_bytes: 0,
         }
     }
@@ -233,8 +259,9 @@ impl Pkts {
     }
 
     /// Approximate heap footprint of the arena in bytes: the dense hot
-    /// arrays plus one boxed cold record per resident packet (recorded
-    /// path buffers excluded — empty unless `record_paths`).
+    /// arrays, one boxed cold record per resident packet (recorded
+    /// path buffers excluded — empty unless `record_paths`) and the
+    /// pre-start store while it is held.
     fn bytes(&self) -> u64 {
         use std::mem::size_of;
         let per_slot = (4 * size_of::<u32>()
@@ -243,7 +270,9 @@ impl Pkts {
             + size_of::<SimTime>()
             + 2 * size_of::<u64>()
             + size_of::<Option<Box<PktCold>>>()) as u64;
-        self.gens.len() as u64 * per_slot + self.resident as u64 * size_of::<PktCold>() as u64
+        self.gens.len() as u64 * per_slot
+            + self.resident as u64 * size_of::<PktCold>() as u64
+            + (self.store.len() * STORE_CHUNK * size_of::<Option<Packet>>()) as u64
     }
 
     fn note_peak(&mut self) {
@@ -255,6 +284,64 @@ impl Pkts {
         self.gens.push(0);
         self.disassemble(i, flight, true);
         i
+    }
+
+    /// Appends a slot whose packet waits in the pre-start store: the
+    /// row gets `flight`'s scalars, the store its packet, and its route
+    /// state, RNG and path are dropped (the `Inject` rebuilds them).
+    /// The store must cover every slot so far.
+    fn push_stored(&mut self, flight: InFlight) -> usize {
+        let i = self.gens.len();
+        debug_assert_eq!(self.store_end, i, "pre-start store must cover every slot");
+        self.gens.push(0);
+        self.write_row(i, &flight, true);
+        self.cold.push(None);
+        self.put_stored(i, flight.packet);
+        i
+    }
+
+    /// Puts restored slot `i` (an empty slot of a freshly grown table)
+    /// back into the pre-start store.
+    fn restore_stored(&mut self, i: usize, flight: InFlight) {
+        assert!(self.cold[i].is_none(), "slab slot {i} already occupied");
+        self.write_row(i, &flight, false);
+        self.put_stored(i, flight.packet);
+    }
+
+    /// Stores slot `i`'s packet, growing the store by whole chunks.
+    fn put_stored(&mut self, i: usize, packet: Packet) {
+        while self.store.len() <= i / STORE_CHUNK {
+            self.store.push(vec![None; STORE_CHUNK].into_boxed_slice());
+        }
+        self.store[i / STORE_CHUNK][i % STORE_CHUNK] = Some(packet);
+        self.store_end = self.store_end.max(i + 1);
+        self.stored += 1;
+        self.note_peak();
+    }
+
+    /// The packet slot `i` holds in the pre-start store, if any.
+    fn stored_packet(&self, i: usize) -> Option<Packet> {
+        self.store.get(i / STORE_CHUNK)?[i % STORE_CHUNK]
+    }
+
+    /// Takes slot `i`'s packet out of the pre-start store, releasing
+    /// the store when that was its last packet.
+    fn take_stored(&mut self, i: usize) -> Option<Packet> {
+        let packet = self.store.get_mut(i / STORE_CHUNK)?[i % STORE_CHUNK].take()?;
+        self.stored -= 1;
+        if self.stored == 0 {
+            self.store = Vec::new();
+            self.store_end = 0;
+        }
+        Some(packet)
+    }
+
+    /// Boxes the cold record of slot `i`, just taken from the store.
+    fn install_cold(&mut self, i: usize, cold: PktCold) {
+        debug_assert!(self.cold[i].is_none(), "slab slot {i} already occupied");
+        self.cold[i] = Some(Box::new(cold));
+        self.resident += 1;
+        self.note_peak();
     }
 
     /// Grows the table to `n` empty slots (checkpoint restore).
@@ -274,24 +361,19 @@ impl Pkts {
         self.note_peak();
     }
 
-    /// Does slot `i` hold a live packet?
+    /// Does slot `i` hold a live packet (resident or in the pre-start
+    /// store)?
     fn is_resident(&self, i: usize) -> bool {
-        self.cold.get(i).is_some_and(Option::is_some)
+        self.cold.get(i).is_some_and(Option::is_some) || self.stored_packet(i).is_some()
     }
 
-    /// Scatters an assembled record into the parallel arrays. `append`
-    /// pushes a brand-new slot; otherwise slot `i` must exist and be
-    /// empty.
-    fn disassemble(&mut self, i: usize, flight: InFlight, append: bool) {
+    /// Writes `flight`'s scalars into row `i`. `append` pushes them as a
+    /// brand-new row (the caller pushes the row's `gens` and `cold`
+    /// entries); otherwise row `i` must exist.
+    fn write_row(&mut self, i: usize, flight: &InFlight, append: bool) {
         let flags = (u8::from(flight.under_fault) * F_UNDER_FAULT)
             | (u8::from(flight.launched) * F_LAUNCHED)
             | (u8::from(flight.escaped) * F_ESCAPED);
-        let cold = Box::new(PktCold {
-            packet: flight.packet,
-            state: flight.state,
-            rng: flight.rng,
-            path: flight.path,
-        });
         if append {
             self.flags.push(flags);
             self.wire_mf.push(flight.wire_mf);
@@ -301,9 +383,7 @@ impl Pkts {
             self.injected_at.push(flight.injected_at);
             self.last_hop_at.push(flight.last_hop_at);
             self.escaped_at.push(flight.escaped_at);
-            self.cold.push(Some(cold));
         } else {
-            assert!(self.cold[i].is_none(), "slab slot {i} already occupied");
             self.flags[i] = flags;
             self.wire_mf[i] = flight.wire_mf;
             self.last_node[i] = flight.last_node;
@@ -312,6 +392,26 @@ impl Pkts {
             self.injected_at[i] = flight.injected_at;
             self.last_hop_at[i] = flight.last_hop_at;
             self.escaped_at[i] = flight.escaped_at;
+        }
+    }
+
+    /// Scatters an assembled record into the parallel arrays. `append`
+    /// pushes a brand-new slot; otherwise slot `i` must exist and be
+    /// empty.
+    fn disassemble(&mut self, i: usize, flight: InFlight, append: bool) {
+        if !append {
+            assert!(self.cold[i].is_none(), "slab slot {i} already occupied");
+        }
+        self.write_row(i, &flight, append);
+        let cold = Box::new(PktCold {
+            packet: flight.packet,
+            state: flight.state,
+            rng: flight.rng,
+            path: flight.path,
+        });
+        if append {
+            self.cold.push(Some(cold));
+        } else {
             self.cold[i] = Some(cold);
         }
         self.resident += 1;
@@ -384,6 +484,26 @@ impl Pkts {
         } else {
             self.flags[i] &= !bit;
         }
+    }
+}
+
+/// The snapshot form of a record.
+fn flight_snap(f: &InFlight) -> FlightSnap {
+    FlightSnap {
+        packet: f.packet,
+        state: f.state,
+        rng: f.rng.state(),
+        injected_at: f.injected_at.cycles(),
+        path: f.path.clone(),
+        inject_attempts: f.inject_attempts,
+        reroutes: f.reroutes,
+        under_fault: f.under_fault,
+        launched: f.launched,
+        escaped: f.escaped,
+        escaped_at: f.escaped_at,
+        last_hop_at: f.last_hop_at,
+        last_node: f.last_node,
+        wire_mf: f.wire_mf,
     }
 }
 
@@ -615,20 +735,63 @@ impl<'a> Simulation<'a> {
 
     /// Schedules `packet` for injection at `time`. Returns its in-flight
     /// handle (useful only for debugging).
+    ///
+    /// The handle, its arena slot row and the queued `Inject` event are
+    /// assigned here. Before the first cycle, the packet's cold record
+    /// (route state, RNG stream, path) is not: the packet waits in a
+    /// pre-start store until its `Inject` fires and builds a record
+    /// identical to the one an up-front build would hold, so a long
+    /// schedule costs a row, a stored packet and a queued event per
+    /// packet (about 140 B) rather than a resident record. Handles, RNG
+    /// streams, event order and every digest are those of the up-front
+    /// build, and [`Simulation::snapshot`] writes a waiting packet as
+    /// that record. After the first cycle (mid-run injections), the
+    /// record is built here.
     pub fn schedule(&mut self, time: SimTime, packet: Packet) -> usize {
+        let store = !self.queue.is_started() && self.pkts.store_end == self.pkts.len();
+        self.enqueue(time, packet, store)
+    }
+
+    /// Assigns `packet` the next handle and queues its `Inject`; `store`
+    /// parks it in the pre-start store instead of building its cold
+    /// record now.
+    fn enqueue(&mut self, time: SimTime, packet: Packet, store: bool) -> usize {
         let idx = self.pkts.len();
-        let wire_mf = packet.header.identification.raw();
-        // Decorrelate per-packet streams from the run seed with a
-        // splitmix of the handle (golden-ratio increment).
-        let rng = SmallRng::seed_from_u64(
-            self.cfg.seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        self.pkts.push(InFlight {
+        let flight = self.fresh_flight(idx, time, packet);
+        if store {
+            self.pkts.push_stored(flight);
+        } else {
+            self.pkts.push(flight);
+        }
+        self.queue.push(time, EventKind::Inject { pkt: idx });
+        idx
+    }
+
+    /// The cold record of a packet with handle `idx` before its
+    /// injection.
+    fn fresh_cold(&self, idx: usize, packet: Packet) -> PktCold {
+        PktCold {
             packet,
             state: RouteState::with_budget(self.router.misroute_budget()),
-            rng,
-            injected_at: time,
+            // Decorrelate per-packet streams from the run seed with a
+            // splitmix of the handle (golden-ratio increment).
+            rng: SmallRng::seed_from_u64(
+                self.cfg.seed ^ (idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            ),
             path: Vec::new(),
+        }
+    }
+
+    /// The whole record of a packet with handle `idx` scheduled at
+    /// `time`, before its injection.
+    fn fresh_flight(&self, idx: usize, time: SimTime, packet: Packet) -> InFlight {
+        let c = self.fresh_cold(idx, packet);
+        InFlight {
+            packet: c.packet,
+            state: c.state,
+            rng: c.rng,
+            injected_at: time,
+            path: c.path,
             inject_attempts: 0,
             reroutes: 0,
             under_fault: false,
@@ -637,20 +800,20 @@ impl<'a> Simulation<'a> {
             escaped_at: 0,
             last_hop_at: time.cycles(),
             last_node: u32::MAX,
-            wire_mf,
-        });
-        self.queue.push(time, EventKind::Inject { pkt: idx });
-        idx
+            wire_mf: packet.header.identification.raw(),
+        }
     }
 
     /// Stages `packet` for injection at `time` **without** allocating
     /// its arena slot yet — the bounded-memory alternative to
-    /// [`Simulation::schedule`] for Table-3-scale floods, where eagerly
-    /// materialising millions of in-flight records (and their pending
-    /// `Inject` events) would dominate memory before the first cycle
-    /// runs. Staged packets materialise lazily, in FIFO order, as the
-    /// clock reaches them; peak arena occupancy then tracks the number
-    /// of packets genuinely in flight.
+    /// [`Simulation::schedule`] for Table-3-scale floods. An eagerly
+    /// scheduled packet holds a slot row, its stored packet and a
+    /// queued `Inject` event from the call until it is injected, so a
+    /// schedule of millions of packets costs memory in proportion to
+    /// its length before the first cycle runs; a staged packet holds
+    /// one backlog entry and nothing else. Staged packets materialise
+    /// lazily, in FIFO order, as the clock reaches them; peak arena
+    /// occupancy then tracks the number of packets genuinely in flight.
     ///
     /// Staged and eagerly scheduled runs of the same workload are
     /// *equivalent but not identical*: packet handles (and therefore
@@ -698,7 +861,7 @@ impl<'a> Simulation<'a> {
                 return;
             }
             let (t, p) = self.pending.pop_front().expect("front just probed");
-            self.schedule(SimTime(t), p);
+            self.enqueue(SimTime(t), p, false);
         }
     }
 
@@ -902,22 +1065,7 @@ impl<'a> Simulation<'a> {
         let slots = (0..self.pkts.len())
             .map(|i| SlotSnap {
                 generation: self.pkts.gens[i],
-                flight: self.pkts.cold[i].as_ref().map(|c| FlightSnap {
-                    packet: c.packet,
-                    state: c.state,
-                    rng: c.rng.state(),
-                    injected_at: self.pkts.injected_at[i].cycles(),
-                    path: c.path.clone(),
-                    inject_attempts: self.pkts.inject_attempts[i],
-                    reroutes: self.pkts.reroutes[i],
-                    under_fault: self.pkts.flag(i, F_UNDER_FAULT),
-                    launched: self.pkts.flag(i, F_LAUNCHED),
-                    escaped: self.pkts.flag(i, F_ESCAPED),
-                    escaped_at: self.pkts.escaped_at[i],
-                    last_hop_at: self.pkts.last_hop_at[i],
-                    last_node: self.pkts.last_node[i],
-                    wire_mf: self.pkts.wire_mf[i],
-                }),
+                flight: self.flight_of(i),
             })
             .collect();
         let (failed_links, failed_switches) = self.live.to_parts();
@@ -953,6 +1101,32 @@ impl<'a> Simulation<'a> {
         }
     }
 
+    /// Slot `i`'s record in snapshot form. A packet waiting in the
+    /// pre-start store is written as the record an up-front build would
+    /// hold.
+    fn flight_of(&self, i: usize) -> Option<FlightSnap> {
+        if let Some(p) = self.pkts.stored_packet(i) {
+            let fresh = self.fresh_flight(i, self.pkts.injected_at[i], p);
+            return Some(flight_snap(&fresh));
+        }
+        self.pkts.cold[i].as_ref().map(|c| FlightSnap {
+            packet: c.packet,
+            state: c.state,
+            rng: c.rng.state(),
+            injected_at: self.pkts.injected_at[i].cycles(),
+            path: c.path.clone(),
+            inject_attempts: self.pkts.inject_attempts[i],
+            reroutes: self.pkts.reroutes[i],
+            under_fault: self.pkts.flag(i, F_UNDER_FAULT),
+            launched: self.pkts.flag(i, F_LAUNCHED),
+            escaped: self.pkts.flag(i, F_ESCAPED),
+            escaped_at: self.pkts.escaped_at[i],
+            last_hop_at: self.pkts.last_hop_at[i],
+            last_node: self.pkts.last_node[i],
+            wire_mf: self.pkts.wire_mf[i],
+        })
+    }
+
     /// Reinstalls a [`SimSnapshot`] into this **freshly built**
     /// simulation. Do not [`Simulation::schedule`] packets or
     /// [`Simulation::schedule_faults`] first — the snapshot holds every
@@ -979,26 +1153,33 @@ impl<'a> Simulation<'a> {
         self.pkts.ensure_len(snap.slots.len());
         for (i, slot) in snap.slots.into_iter().enumerate() {
             if let Some(f) = slot.flight {
-                self.pkts.disassemble(
-                    i,
-                    InFlight {
-                        packet: f.packet,
-                        state: f.state,
-                        rng: SmallRng::from_state(f.rng),
-                        injected_at: SimTime(f.injected_at),
-                        path: f.path,
-                        inject_attempts: f.inject_attempts,
-                        reroutes: f.reroutes,
-                        under_fault: f.under_fault,
-                        launched: f.launched,
-                        escaped: f.escaped,
-                        escaped_at: f.escaped_at,
-                        last_hop_at: f.last_hop_at,
-                        last_node: f.last_node,
-                        wire_mf: f.wire_mf,
-                    },
-                    false,
-                );
+                // A flight still exactly as scheduled goes back to the
+                // pre-start store; any other is a resident record.
+                let fresh = self.fresh_flight(i, SimTime(f.injected_at), f.packet);
+                if flight_snap(&fresh) == f {
+                    self.pkts.restore_stored(i, fresh);
+                } else {
+                    self.pkts.disassemble(
+                        i,
+                        InFlight {
+                            packet: f.packet,
+                            state: f.state,
+                            rng: SmallRng::from_state(f.rng),
+                            injected_at: SimTime(f.injected_at),
+                            path: f.path,
+                            inject_attempts: f.inject_attempts,
+                            reroutes: f.reroutes,
+                            under_fault: f.under_fault,
+                            launched: f.launched,
+                            escaped: f.escaped,
+                            escaped_at: f.escaped_at,
+                            last_hop_at: f.last_hop_at,
+                            last_node: f.last_node,
+                            wire_mf: f.wire_mf,
+                        },
+                        false,
+                    );
+                }
             }
             self.pkts.gens[i] = slot.generation;
         }
@@ -1262,6 +1443,10 @@ impl<'a> Simulation<'a> {
     fn handle_inject(&mut self, pkt: usize) {
         if self.stale_event(pkt) {
             return;
+        }
+        if let Some(packet) = self.pkts.take_stored(pkt) {
+            let cold = self.fresh_cold(pkt, packet);
+            self.pkts.install_cold(pkt, cold);
         }
         let src_id = self.pkts.packet(pkt).true_source;
         let src = self.coord_of(src_id.0);

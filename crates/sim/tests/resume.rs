@@ -11,9 +11,10 @@
 //! snapshot.
 
 use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
-use ddpm_routing::{Router, SelectionPolicy};
+use ddpm_routing::{RouteState, Router, SelectionPolicy};
 use ddpm_sim::{
-    InvariantConfig, NoMarking, RetryPolicy, SimConfig, SimTime, Simulation, WatchdogConfig,
+    FlightSnap, InvariantConfig, NoMarking, RetryPolicy, SimConfig, SimTime, Simulation,
+    WatchdogConfig,
 };
 use ddpm_topology::{ChurnConfig, FaultSchedule, FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
@@ -66,9 +67,20 @@ fn mk_packet(map: &AddrMap, id: u64, src: NodeId, dst: NodeId) -> Packet {
     }
 }
 
+/// The stress scenario's traffic, in schedule order.
+fn traffic(topo: &Topology) -> Vec<(SimTime, Packet)> {
+    let map = AddrMap::for_topology(topo);
+    (0..PACKETS)
+        .filter_map(|k| {
+            let s = NodeId((k as u32 * 5) % NODES);
+            let d = NodeId((k as u32 * 11 + 3) % NODES);
+            (s != d).then(|| (SimTime(k * 2), mk_packet(&map, k, s, d)))
+        })
+        .collect()
+}
+
 /// Builds the stress scenario and schedules its traffic + faults.
 fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
-    let map = AddrMap::for_topology(topo);
     let mut sim = Simulation::new(
         topo,
         &FaultSet::none(),
@@ -78,15 +90,49 @@ fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
         stress_cfg(),
     );
     sim.schedule_faults(&churn(topo));
-    for k in 0..PACKETS {
-        let s = NodeId((k as u32 * 5) % NODES);
-        let d = NodeId((k as u32 * 11 + 3) % NODES);
-        if s == d {
-            continue;
-        }
-        sim.schedule(SimTime(k * 2), mk_packet(&map, k, s, d));
+    for (t, p) in traffic(topo) {
+        sim.schedule(t, p);
     }
     sim
+}
+
+/// A fresh world for `restore`: the stress scenario's static half, no
+/// traffic or faults scheduled.
+fn fresh<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
+    Simulation::new(
+        topo,
+        &FaultSet::none(),
+        Router::fully_adaptive_for(topo),
+        SelectionPolicy::Random,
+        marker,
+        stress_cfg(),
+    )
+}
+
+/// The record a packet with handle `handle` scheduled at `time` holds
+/// before its injection, built independently of the simulator: fresh
+/// routing state with the router's misroute budget, the per-packet RNG
+/// seeded by a splitmix of the handle, timestamps at the schedule time,
+/// no switch yet, the packet's own marking field on the wire, and every
+/// counter and flag clear.
+fn scheduled_record(topo: &Topology, handle: usize, time: SimTime, packet: Packet) -> FlightSnap {
+    let seed = stress_cfg().seed ^ (handle as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    FlightSnap {
+        packet,
+        state: RouteState::with_budget(Router::fully_adaptive_for(topo).misroute_budget()),
+        rng: SmallRng::seed_from_u64(seed).state(),
+        injected_at: time.cycles(),
+        path: Vec::new(),
+        inject_attempts: 0,
+        reroutes: 0,
+        under_fault: false,
+        launched: false,
+        escaped: false,
+        escaped_at: 0,
+        last_hop_at: time.cycles(),
+        last_node: u32::MAX,
+        wire_mf: packet.header.identification.raw(),
+    }
 }
 
 /// Everything observable about a finished run, as one comparable string.
@@ -233,4 +279,100 @@ fn stale_event_near_generation_wraparound_is_a_typed_violation() {
         stale.iter().all(|v| v.pkt == victim as u64),
         "violation must name the forged handle: {stale:?}"
     );
+}
+
+/// Packets scheduled before the first cycle wait without a record until
+/// they are injected; a snapshot must not show it. At cycle 0 and at
+/// pauses before the last injection, every uninjected slot reads as the
+/// record an up-front build holds — as does a packet scheduled mid-run.
+#[test]
+fn uninjected_packets_snapshot_as_their_scheduled_record() {
+    let topo = Topology::torus(&[6, 6]);
+    let marker = NoMarking;
+    let schedule = traffic(&topo);
+    let last = schedule.iter().map(|(t, _)| t.cycles()).max().unwrap();
+    // `None`: snapshot before the run starts.
+    let pauses = std::iter::once(None).chain([0, 1, 50, 137, 300, last].map(Some));
+    for pause in pauses {
+        let mut sim = build(&topo, &marker);
+        let mut late = None;
+        if let Some(p) = pause {
+            assert!(!sim.run_until(p), "pause {p} lies before the run's end");
+            // A mid-run injection builds its record at once.
+            let map = AddrMap::for_topology(&topo);
+            let packet = mk_packet(&map, 9_999, NodeId(1), NodeId(20));
+            let at = SimTime(p + 5);
+            late = Some((sim.schedule(at, packet), at, packet));
+        }
+        let snap = sim.snapshot();
+        let uninjected = snap
+            .slots
+            .iter()
+            .filter(|s| s.flight.as_ref().is_some_and(|f| !f.launched))
+            .count();
+        assert!(uninjected > 0, "pause {pause:?} has nothing left to inject");
+        for (handle, (time, packet)) in schedule.iter().enumerate() {
+            let Some(f) = &snap.slots[handle].flight else {
+                continue;
+            };
+            if !f.launched {
+                assert_eq!(
+                    *f,
+                    scheduled_record(&topo, handle, *time, *packet),
+                    "uninjected slot {handle} at pause {pause:?}"
+                );
+            }
+        }
+        if let Some((handle, at, packet)) = late {
+            assert_eq!(
+                snap.slots[handle].flight,
+                Some(scheduled_record(&topo, handle, at, packet)),
+                "mid-run injection at pause {pause:?}"
+            );
+        }
+    }
+}
+
+/// A never-launched flight that does not match its scheduled record —
+/// here, its RNG stream was edited — is restored as a live record: the
+/// edit survives a snapshot round trip and steers the continued run,
+/// which still resumes bit-identically from any later pause.
+#[test]
+fn edited_uninjected_flight_restores_as_a_live_record() {
+    let topo = Topology::torus(&[6, 6]);
+    let marker = NoMarking;
+    let mut first = build(&topo, &marker);
+    first.run_until(50);
+    let mut snap = first.snapshot();
+    let victim = snap
+        .slots
+        .iter()
+        .position(|s| s.flight.as_ref().is_some_and(|f| !f.launched))
+        .expect("a not-yet-launched packet at cycle 50");
+    let edited = SmallRng::seed_from_u64(0xED17).state();
+    snap.slots[victim].flight.as_mut().unwrap().rng = edited;
+
+    let mut second = fresh(&topo, &marker);
+    second.restore(snap.clone());
+    let again = second.snapshot();
+    assert_eq!(
+        again.slots, snap.slots,
+        "the edited flight must come back exactly as written"
+    );
+    second.run();
+    let edited_run = fingerprint(&second);
+    assert_ne!(
+        edited_run,
+        reference(),
+        "the edited RNG stream must steer the resumed run"
+    );
+
+    // The edited world itself pauses and resumes bit-identically.
+    let mut third = fresh(&topo, &marker);
+    third.restore(snap);
+    assert!(!third.run_until(300));
+    let mut fourth = fresh(&topo, &marker);
+    fourth.restore(third.snapshot());
+    fourth.run();
+    assert_eq!(fingerprint(&fourth), edited_run);
 }
