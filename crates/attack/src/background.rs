@@ -13,7 +13,7 @@
 //!   the physical neighbours.
 
 use crate::scenario::{PacketFactory, Workload};
-use ddpm_net::L4;
+use crate::stream::{self, Stream};
 use ddpm_sim::SimTime;
 use ddpm_topology::{NodeId, Topology};
 use rand::Rng;
@@ -35,6 +35,49 @@ pub enum TrafficPattern {
     },
     /// A uniformly chosen physical neighbour.
     NearestNeighbor,
+}
+
+impl TrafficPattern {
+    /// A destination for a packet from `src`.
+    pub(crate) fn pick_dest<R: Rng + ?Sized>(
+        self,
+        topo: &Topology,
+        src: NodeId,
+        rng: &mut R,
+    ) -> NodeId {
+        let n = topo.num_nodes() as u32;
+        let uniform = |rng: &mut R| loop {
+            let d = NodeId(rng.gen_range(0..n));
+            if d != src {
+                break d;
+            }
+        };
+        match self {
+            TrafficPattern::Uniform => uniform(rng),
+            TrafficPattern::Transpose => {
+                let c = topo.coord(src);
+                if topo.ndims() == 2 {
+                    let t = ddpm_topology::Coord::new(&[c.get(1), c.get(0)]);
+                    if topo.contains(&t) && t != c {
+                        return topo.index(&t);
+                    }
+                }
+                uniform(rng)
+            }
+            TrafficPattern::HotSpot { node, fraction } => {
+                if node != src && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
+                    node
+                } else {
+                    uniform(rng)
+                }
+            }
+            TrafficPattern::NearestNeighbor => {
+                let nbs = topo.neighbors(&topo.coord(src));
+                let (_, c) = nbs[rng.gen_range(0..nbs.len())];
+                topo.index(&c)
+            }
+        }
+    }
 }
 
 /// A benign background workload.
@@ -63,39 +106,22 @@ impl BackgroundTraffic {
         }
     }
 
-    fn pick_dest<R: Rng + ?Sized>(&self, topo: &Topology, src: NodeId, rng: &mut R) -> NodeId {
-        let n = topo.num_nodes() as u32;
-        let uniform = |rng: &mut R| loop {
-            let d = NodeId(rng.gen_range(0..n));
-            if d != src {
-                break d;
-            }
-        };
-        match self.pattern {
-            TrafficPattern::Uniform => uniform(rng),
-            TrafficPattern::Transpose => {
-                let c = topo.coord(src);
-                if topo.ndims() == 2 {
-                    let t = ddpm_topology::Coord::new(&[c.get(1), c.get(0)]);
-                    if topo.contains(&t) && t != c {
-                        return topo.index(&t);
-                    }
-                }
-                uniform(rng)
-            }
-            TrafficPattern::HotSpot { node, fraction } => {
-                if node != src && rng.gen_bool(fraction.clamp(0.0, 1.0)) {
-                    node
-                } else {
-                    uniform(rng)
-                }
-            }
-            TrafficPattern::NearestNeighbor => {
-                let nbs = topo.neighbors(&topo.coord(src));
-                let (_, c) = nbs[rng.gen_range(0..nbs.len())];
-                topo.index(&c)
-            }
-        }
+    /// One stream per node, in node order: every node injects on its
+    /// own jittered clock for the whole horizon.
+    #[must_use]
+    pub fn streams<'t>(&self, topo: &'t Topology) -> Vec<Stream<'t>> {
+        (0..topo.num_nodes() as u32)
+            .map(|src| {
+                Stream::benign(
+                    topo,
+                    NodeId(src),
+                    self.pattern,
+                    self.interval,
+                    self.start.cycles(),
+                    self.duration,
+                )
+            })
+            .collect()
     }
 
     /// Generates the benign schedule: every node injects on its own
@@ -106,21 +132,7 @@ impl BackgroundTraffic {
         factory: &mut PacketFactory,
         rng: &mut R,
     ) -> Workload {
-        let mut out = Workload::new();
-        let n = topo.num_nodes() as u32;
-        for src in 0..n {
-            let src = NodeId(src);
-            let mut t = self.start + rng.gen_range(0..self.interval.max(1));
-            while t.cycles() < self.start.cycles() + self.duration {
-                let dst = self.pick_dest(topo, src, rng);
-                let l4 = L4::udp(rng.gen_range(1024..=u16::MAX), 9999);
-                out.push((t, factory.benign(src, dst, l4, 256)));
-                // Jittered inter-arrival: uniform in [interval/2, 3*interval/2].
-                let gap = self.interval / 2 + rng.gen_range(0..=self.interval.max(1));
-                t += gap.max(1);
-            }
-        }
-        out
+        stream::drain(self.streams(topo), factory, rng)
     }
 }
 

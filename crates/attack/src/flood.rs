@@ -10,13 +10,10 @@
 
 use crate::scenario::{PacketFactory, Workload};
 use crate::spoof::SpoofStrategy;
-use ddpm_net::L4;
+use crate::stream::{self, Stream};
 use ddpm_sim::SimTime;
 use ddpm_topology::NodeId;
 use rand::Rng;
-
-/// Payload carried by flood packets (bytes).
-const FLOOD_PAYLOAD: u16 = 512;
 
 /// A coordinated volumetric flood.
 #[derive(Clone, Debug)]
@@ -58,36 +55,44 @@ impl FloodAttack {
         self.zombies.len() as u64 * u64::from(self.packets_per_zombie)
     }
 
+    /// One stream per zombie, in zombie order. Zombies de-synchronise
+    /// slightly, like independent agents.
+    ///
+    /// # Panics
+    /// Panics if a zombie targets itself.
+    #[must_use]
+    pub fn streams(&self) -> Vec<Stream<'static>> {
+        self.zombies
+            .iter()
+            .enumerate()
+            .map(|(zi, &zombie)| {
+                let phase = (zi as u64 * 3) % self.interval.max(1);
+                Stream::flood(
+                    zombie,
+                    self.victim,
+                    self.spoof,
+                    self.icmp,
+                    self.start.cycles() + phase,
+                    self.interval,
+                    self.packets_per_zombie,
+                )
+            })
+            .collect()
+    }
+
     /// Generates the injection schedule.
     ///
     /// # Panics
     /// Panics if a zombie targets itself.
     pub fn generate<R: Rng + ?Sized>(&self, factory: &mut PacketFactory, rng: &mut R) -> Workload {
-        let mut out = Workload::with_capacity(self.total_packets() as usize);
-        for (zi, &zombie) in self.zombies.iter().enumerate() {
-            assert_ne!(zombie, self.victim, "zombie cannot flood itself");
-            // Zombies de-synchronise slightly, like independent agents.
-            let phase = (zi as u64 * 3) % self.interval.max(1);
-            for k in 0..self.packets_per_zombie {
-                let t = self.start + phase + u64::from(k) * self.interval;
-                let claimed = self.spoof.claimed_ip(factory.map(), zombie, rng);
-                let l4 = if self.icmp {
-                    L4::Icmp { kind: 8 }
-                } else {
-                    L4::udp(rng.gen_range(1024..=u16::MAX), 7) // echo port
-                };
-                let pkt = factory.attack(zombie, claimed, self.victim, l4, FLOOD_PAYLOAD);
-                out.push((t, pkt));
-            }
-        }
-        out
+        stream::drain(self.streams(), factory, rng)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ddpm_net::{AddrMap, TrafficClass};
+    use ddpm_net::{AddrMap, TrafficClass, L4};
     use ddpm_topology::Topology;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

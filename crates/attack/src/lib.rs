@@ -23,6 +23,9 @@
 //!   count). The paper assumes detection exists (§6.1); we implement it
 //!   so the end-to-end pipeline — detect → identify → block — runs.
 //! * [`scenario`] — composition glue used by examples and benches.
+//! * [`stream`] — the generators one injector and one packet at a
+//!   time, and [`LazyWorkload`], a workload the simulator pulls as
+//!   simulated time reaches it.
 //! * [`adversary`] — the Byzantine marking-plane adversary: compromised
 //!   switches that skip, forge, randomize or replay the mark (§4.1's
 //!   "to prevent even the small probability of compromising switch"
@@ -37,6 +40,7 @@ pub mod detect;
 pub mod flood;
 pub mod scenario;
 pub mod spoof;
+pub mod stream;
 pub mod synflood;
 pub mod worm;
 
@@ -47,5 +51,6 @@ pub use detect::{DetectionVerdict, EntropyDetector, RateDetector, SynHalfOpenDet
 pub use flood::FloodAttack;
 pub use scenario::{PacketFactory, Workload};
 pub use spoof::SpoofStrategy;
+pub use stream::{HandleOrder, LazyWorkload, Stream};
 pub use synflood::{HalfOpenTable, SynFloodAttack};
 pub use worm::WormOutbreak;

@@ -12,6 +12,7 @@
 
 use crate::scenario::{PacketFactory, Workload};
 use crate::spoof::SpoofStrategy;
+use crate::stream::{self, Stream};
 use ddpm_net::{Packet, TrafficClass, L4};
 use ddpm_sim::SimTime;
 use ddpm_topology::NodeId;
@@ -53,21 +54,34 @@ impl SynFloodAttack {
         }
     }
 
+    /// One stream per zombie, in zombie order.
+    ///
+    /// # Panics
+    /// Panics if a zombie targets itself.
+    #[must_use]
+    pub fn streams(&self) -> Vec<Stream<'static>> {
+        self.zombies
+            .iter()
+            .enumerate()
+            .map(|(zi, &zombie)| {
+                let phase = (zi as u64 * 5) % self.interval.max(1);
+                Stream::syn(
+                    zombie,
+                    self.victim,
+                    self.spoof,
+                    self.port,
+                    self.start.cycles() + phase,
+                    self.interval,
+                    self.syns_per_zombie,
+                )
+            })
+            .collect()
+    }
+
     /// Generates the SYN schedule. Spoofed SYNs never complete the
     /// handshake — the SYN-ACK goes to the forged address.
     pub fn generate<R: Rng + ?Sized>(&self, factory: &mut PacketFactory, rng: &mut R) -> Workload {
-        let mut out = Workload::new();
-        for (zi, &zombie) in self.zombies.iter().enumerate() {
-            assert_ne!(zombie, self.victim, "zombie cannot flood itself");
-            let phase = (zi as u64 * 5) % self.interval.max(1);
-            for k in 0..self.syns_per_zombie {
-                let t = self.start + phase + u64::from(k) * self.interval;
-                let claimed = self.spoof.claimed_ip(factory.map(), zombie, rng);
-                let l4 = L4::tcp_syn(rng.gen_range(1024..=u16::MAX), self.port, rng.gen());
-                out.push((t, factory.attack(zombie, claimed, self.victim, l4, 40)));
-            }
-        }
-        out
+        stream::drain(self.streams(), factory, rng)
     }
 }
 

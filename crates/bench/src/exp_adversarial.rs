@@ -126,7 +126,7 @@ pub fn cell(
 pub fn score(world: &ScenarioWorld) -> Value {
     let a = world.identify(None).expect("the flood names its victim");
     let att = Attribution {
-        candidates: a.candidates.into_iter().map(NodeId).collect(),
+        candidates: a.candidates.iter().copied().map(NodeId).collect(),
         confidence: a.confidence,
     };
     let framed = NodeId(FRAMED);

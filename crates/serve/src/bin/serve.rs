@@ -7,8 +7,11 @@
 //!
 //! On startup the server resumes every tenant checkpointed under the
 //! checkpoint root (if any), then prints a single NDJSON ready line to
-//! stdout — `{"ready":true,"addr":"<ip:port>","resumed":[...]}` — so a
-//! parent process can bind port 0 and learn the actual address.
+//! stdout — `{"ready":true,"addr":"<ip:port>","resumed":[...],
+//! "failed":[{"tenant":...,"error":...}]}` — so a parent process can
+//! bind port 0 and learn the actual address. A tenant whose checkpoints
+//! cannot be resumed is listed under `failed` with the reason; the
+//! others resume.
 //!
 //! SIGINT/SIGTERM trigger a graceful drain: in-flight strides finish,
 //! every unfinished tenant writes a final checkpoint, and the process
@@ -92,7 +95,7 @@ fn run() -> Result<(), String> {
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?;
     let server = Server::new(cli.cfg);
-    let resumed = server.resume_tenants()?;
+    let found = server.resume_tenants()?;
     // The ready line is machine-readable on purpose: parents bind
     // port 0 and need the real address; the smoke harness also learns
     // which tenants a restart recovered.
@@ -101,7 +104,12 @@ fn run() -> Result<(), String> {
         json!({
             "ready": true,
             "addr": addr.to_string(),
-            "resumed": resumed.iter().map(|n| json!(n.as_str())).collect::<Vec<_>>(),
+            "resumed": found.resumed.iter().map(|n| json!(n.as_str())).collect::<Vec<_>>(),
+            "failed": found
+                .failed
+                .iter()
+                .map(|(n, e)| json!({"tenant": n.as_str(), "error": e.as_str()}))
+                .collect::<Vec<_>>(),
         })
     );
     // Cooperative shutdown: the same SIGINT/SIGTERM flag the

@@ -33,5 +33,5 @@ pub mod server;
 mod world;
 
 pub use client::ServeClient;
-pub use server::{Server, ServerConfig};
+pub use server::{Resumed, Server, ServerConfig};
 pub use world::{CapturedCheckpoint, OnlineAttribution, ScenarioWorld};

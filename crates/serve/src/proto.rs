@@ -13,7 +13,9 @@
 //! object insertion order), so golden-line tests can pin exact bytes.
 
 use crate::scenario::{AttackSpec, ScenarioConfig};
+use ddpm_telemetry::PacketEvent;
 use serde_json::{json, FromJson, Value};
+use std::fmt::Write as _;
 
 /// A parsed client request: the verb plus its arguments.
 #[derive(Debug)]
@@ -234,6 +236,26 @@ pub fn ok_response(id: Option<&Value>, body: &Value) -> String {
         }
     }
     Value::Object(out).to_string()
+}
+
+/// Builds the success response line of `tenant.subscribe` (no
+/// trailing newline): `{"id": ..., "ok": true, "events": [...],
+/// "dropped": n}`. Each event's NDJSON line goes in as it is; it is
+/// already the JSON object [`ok_response`] would render for it, keys in
+/// the same order, so the bytes equal a response built from values.
+#[must_use]
+pub fn events_response(id: Option<&Value>, events: &[PacketEvent], dropped: u64) -> String {
+    let id = id.cloned().unwrap_or(Value::Null).to_string();
+    let mut out = String::with_capacity(64 + 96 * events.len());
+    write!(out, "{{\"id\":{id},\"ok\":true,\"events\":[").expect("writing to a String");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        e.write_ndjson(&mut out).expect("writing to a String");
+    }
+    write!(out, "],\"dropped\":{dropped}}}").expect("writing to a String");
+    out
 }
 
 /// Builds an error response line (no trailing newline): `{"id": ...,

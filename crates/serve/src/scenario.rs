@@ -571,17 +571,15 @@ pub struct ScenarioConfig {
     pub horizon: u64,
     /// DDoS attack to overlay on the background, if any.
     pub attack: Option<AttackSpec>,
-    /// Bounded-memory injection (`"staged_injection": true`): the
-    /// workload is time-sorted and parked in the simulator's staged
-    /// backlog, materialising into real packets lazily as simulated
-    /// time reaches them, so a flood's footprint is its in-flight
-    /// window rather than the whole schedule. When the workload is
-    /// already time-ordered (a pure flood), staged materialisation is
-    /// order-equivalent to eager scheduling and reproduces its digest
-    /// exactly; a mixed workload gets time-sorted first, which changes
-    /// packet-id assignment order and thus the digest — each mode is
-    /// bit-reproducible (and checkpoint/resume safe) either way.
-    /// Default false.
+    /// Handle numbering (`"staged_injection": true`): the workload's
+    /// packets take their handles — their RNG streams and same-cycle
+    /// tie-breaks — in time order instead of generation order. Every
+    /// workload enters the simulator lazily, as simulated time reaches
+    /// it, so memory no longer depends on this key. A pure flood is
+    /// already time-ordered, so both numberings give it the same
+    /// digest; a mixed workload digests differently under each, and
+    /// each is bit-reproducible (and checkpoint/resume safe). Default
+    /// false.
     pub staged_injection: bool,
     /// Timestamped dynamic fault events (link/switch fail and repair),
     /// applied mid-run by the simulator. Empty by default.

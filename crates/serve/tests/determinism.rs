@@ -155,7 +155,7 @@ fn online_identify_at_quiescence_matches_the_outcome_attribution() {
             .iter()
             .map(|c| u32::try_from(c.as_u64().unwrap()).unwrap())
             .collect();
-        assert_eq!(candidates, online.candidates, "{name}");
+        assert_eq!(candidates, *online.candidates, "{name}");
         let confidence = att["confidence"].as_f64().expect("confidence");
         assert!((confidence - online.confidence).abs() < 1e-12, "{name}");
         assert!(
@@ -165,7 +165,7 @@ fn online_identify_at_quiescence_matches_the_outcome_attribution() {
         );
         if cfg.adversary.is_none() {
             assert_eq!(
-                online.candidates, zombies,
+                *online.candidates, zombies,
                 "{name}: honest fabric names every zombie"
             );
         }

@@ -155,12 +155,12 @@ fn explicit_foreign_victim_is_answered_by_replay() {
     let foreign = world.identify(Some(3)).expect("in range");
     same_answer(&foreign, &fresh_replay(&world, 3)).unwrap();
     assert_eq!(foreign.victim, 3);
-    assert_eq!(foreign.candidates, [2, 11]);
+    assert_eq!(*foreign.candidates, [2, 11]);
     assert!(foreign.observed > 0);
     // The attack victim's answer is untouched by the second flood.
     let own = world.identify(None).expect("attack victim");
     assert_eq!(own.victim, VICTIM);
-    assert_eq!(own.candidates, [1, 6]);
+    assert_eq!(*own.candidates, [1, 6]);
     same_answer(&own, &fresh_replay(&world, VICTIM)).unwrap();
     // Out of range is still an error, not a replay.
     assert!(world.identify(Some(16)).is_err());

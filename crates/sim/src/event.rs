@@ -5,11 +5,11 @@
 //! (`tests/conformance.rs`): it must reproduce the original
 //! `BinaryHeap` behaviour bit-for-bit. It is a bucketed cycle-wheel:
 //! O(1) schedule/pop for the bounded `service + latency` scheduling
-//! horizon of a switch fabric. Everything scheduled before the first
-//! pop — the up-front injection timeline — waits in one sorted run;
-//! later far-future timers (watchdog sweeps, fault schedules, retry
-//! backoffs) fall back to a heap. Ties drain in the canonical
-//! `(cycle, rank, pkey, seq)` order.
+//! horizon of a switch fabric; far-future timers (watchdog sweeps,
+//! fault schedules, retry backoffs) fall back to a heap. Ties drain in
+//! the canonical `(cycle, rank, pkey, seq)` order. Traffic does not
+//! wait here: the simulator admits each packet's `Inject` from its
+//! traffic source just before the packet's cycle activates.
 
 use crate::time::SimTime;
 use ddpm_topology::FaultEvent;
@@ -67,6 +67,10 @@ pub enum EventKind {
 ///   exactly like the original.
 /// * `seq` — insertion sequence, the final tie-break (same-cycle fault
 ///   events apply in schedule order).
+///
+/// A packet event also carries the arena slot its packet occupies.
+/// The slot is where the packet lives, not who it is: it takes no part
+/// in the order, and slots are reused once a packet leaves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Event {
     /// When the event fires.
@@ -75,6 +79,8 @@ pub struct Event {
     pub seq: u64,
     /// What happens.
     pub kind: EventKind,
+    /// Arena slot of the event's packet (0 for global events).
+    pub slot: u32,
 }
 
 impl Event {
@@ -123,27 +129,21 @@ impl PartialOrd for Event {
 }
 
 /// A deterministic future-event list, laid out as a bucketed
-/// **cycle-wheel** beside a pre-start run and a heap spillover.
+/// **cycle-wheel** beside a heap spillover.
 ///
 /// A switch fabric schedules almost every event within a bounded
 /// look-ahead of the current cycle (`buffer · service + latency`), so
 /// the queue keeps a ring of per-cycle buckets covering that horizon:
 /// scheduling is a `Vec::push` into the bucket `time % horizon`, and
-/// popping drains one bucket at a time.
-///
-/// Everything pushed before the queue's first activation — the whole
-/// up-front injection timeline of a run, or every event of a restored
-/// checkpoint — is appended to one **pre-start run**, sorted once by
-/// the canonical key at the first activation and drained from its tail.
-/// Only far-future events pushed after the start — watchdog sweeps,
-/// fault schedules, deep retry backoffs, mid-run injections — spill
-/// into a conventional binary heap, off the per-packet hot path.
+/// popping drains one bucket at a time. Far-future events — watchdog
+/// sweeps, fault schedules, deep retry backoffs — spill into a
+/// conventional binary heap, off the per-packet hot path.
 ///
 /// Drain order is **identical** to the old all-heap queue: when a cycle
-/// activates, its bucket is merged with the run's and the heap's events
-/// due the same cycle and sorted once by the canonical key; same-cycle
-/// insertions during the drain binary-insert into the sorted remainder,
-/// which is exactly the order a heap would have produced for them.
+/// activates, its bucket is merged with the heap's events due the same
+/// cycle and sorted once by the canonical key; same-cycle insertions
+/// during the drain binary-insert into the sorted remainder, which is
+/// exactly the order a heap would have produced for them.
 pub struct EventQueue {
     /// Events of the active cycle, sorted *descending* by canonical key
     /// (pop takes from the back). All share `time == cur_time`.
@@ -160,17 +160,8 @@ pub struct EventQueue {
     /// First wheel cycle the next activation scan needs to look at
     /// (cycles in `[floor, scan_from)` are known empty).
     scan_from: u64,
-    /// Far-future spillover (`time >= floor + horizon` at push time,
-    /// after the start).
+    /// Far-future spillover (`time >= floor + horizon` at push time).
     overflow: BinaryHeap<Event>,
-    /// The pre-start run: every event pushed before the first
-    /// activation. Unordered until `started`, then sorted *descending*
-    /// by canonical key (drained from the back).
-    run: Vec<Event>,
-    /// Earliest fire time in `run` while it is still unordered.
-    run_min: Option<u64>,
-    /// Set by the first activation, which sorts `run`.
-    started: bool,
     len: usize,
     seq: u64,
 }
@@ -195,18 +186,15 @@ impl EventQueue {
             floor: 0,
             scan_from: 0,
             overflow: BinaryHeap::new(),
-            run: Vec::new(),
-            run_min: None,
-            started: false,
             len: 0,
             seq: 0,
         }
     }
 
-    /// Has the first activation happened (is the pre-start run
-    /// closed)?
-    pub(crate) fn is_started(&self) -> bool {
-        self.started
+    /// True between cycles: the active cycle has drained, and the next
+    /// pop activates a new one.
+    pub(crate) fn idle(&self) -> bool {
+        self.cur.is_empty()
     }
 
     /// The wheel's look-ahead span in cycles.
@@ -217,9 +205,20 @@ impl EventQueue {
 
     /// Schedules `kind` at `time`.
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
+        self.push_at(time, kind, 0);
+    }
+
+    /// Schedules packet event `kind` at `time` for the packet in arena
+    /// slot `slot`.
+    pub fn push_at(&mut self, time: SimTime, kind: EventKind, slot: u32) {
         let seq = self.seq;
         self.seq += 1;
-        self.insert(Event { time, seq, kind });
+        self.insert(Event {
+            time,
+            seq,
+            kind,
+            slot,
+        });
         self.len += 1;
     }
 
@@ -227,10 +226,7 @@ impl EventQueue {
     /// rebuild share this; `len` is maintained by the callers).
     fn insert(&mut self, ev: Event) {
         let t = ev.time.0;
-        if !self.started {
-            self.run_min = Some(self.run_min.map_or(t, |m| m.min(t)));
-            self.run.push(ev);
-        } else if t == self.cur_time && !self.cur.is_empty() {
+        if t == self.cur_time && !self.cur.is_empty() {
             // Same-cycle insertion while the cycle is draining: keep
             // `cur` sorted (descending) so the remaining pops stay in
             // canonical order — a heap would do exactly this.
@@ -251,47 +247,30 @@ impl EventQueue {
     /// The cycle the next activation will land on, advancing the scan
     /// cursor past buckets it proves empty. `None` iff the queue is
     /// empty.
-    fn peek_cycle(&mut self) -> Option<u64> {
+    pub(crate) fn next_cycle(&mut self) -> Option<u64> {
         if let Some(e) = self.cur.last() {
             return Some(e.time.0);
         }
         if self.len == 0 {
             return None;
         }
-        let off_wheel = self.off_wheel_min();
+        let heap = self.overflow.peek().map(|e| e.time.0);
         let end = self.floor + self.horizon();
         while self.scan_from < end {
             if !self.wheel[(self.scan_from & self.mask) as usize].is_empty() {
                 let w = self.scan_from;
-                return Some(off_wheel.map_or(w, |o| o.min(w)));
+                return Some(heap.map_or(w, |o| o.min(w)));
             }
             self.scan_from += 1;
         }
-        off_wheel
+        heap
     }
 
-    /// Earliest fire time among the events not on the wheel: the
-    /// pre-start run and the spillover heap.
-    fn off_wheel_min(&self) -> Option<u64> {
-        let run_t = if self.started {
-            self.run.last().map(|e| e.time.0)
-        } else {
-            self.run_min
-        };
-        run_t.into_iter().chain(self.overflow.peek().map(|e| e.time.0)).min()
-    }
-
-    /// Activates cycle `t`: merges its wheel bucket with the run's and
-    /// the heap's events due the same cycle into `cur`, sorted
-    /// descending by canonical key. The first activation sorts the
-    /// pre-start run.
+    /// Activates cycle `t`: merges its wheel bucket with the heap's
+    /// events due the same cycle into `cur`, sorted descending by
+    /// canonical key.
     fn activate(&mut self, t: u64) {
         debug_assert!(self.cur.is_empty());
-        if !self.started {
-            self.started = true;
-            self.run
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.canonical_key()));
-        }
         if t < self.floor + self.horizon() {
             let slot = &mut self.wheel[(t & self.mask) as usize];
             std::mem::swap(&mut self.cur, slot);
@@ -299,33 +278,11 @@ impl EventQueue {
         while self.overflow.peek().is_some_and(|e| e.time.0 == t) {
             self.cur.push(self.overflow.pop().expect("peeked"));
         }
-        let sorted = if self.run.last().is_some_and(|e| e.time.0 == t) {
-            // The run's tail is already in drain order: alone, it needs
-            // no sort.
-            let alone = self.cur.is_empty();
-            // `t` is the earliest pending cycle, so the due events are
-            // the run's tail: count them back from the end rather than
-            // binary-search the whole run.
-            let tail = self.run.iter().rev().take_while(|e| e.time.0 == t).count();
-            let due = self.run.len() - tail;
-            self.cur.extend(self.run.drain(due..));
-            // Release the drained part as the run empties: halving the
-            // buffer whenever it is less than half full copies each
-            // event O(1) times.
-            if self.run.len() < self.run.capacity() / 2 {
-                self.run.shrink_to_fit();
-            }
-            alone
-        } else {
-            false
-        };
-        if !sorted {
-            // Every event here fires at `t`, so the packed key orders
-            // them canonically; `seq` makes each key unique, so the
-            // unstable sort is deterministic.
-            self.cur
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.cycle_key()));
-        }
+        // Every event here fires at `t`, so the packed key orders them
+        // canonically; `seq` makes each key unique, so the unstable
+        // sort is deterministic.
+        self.cur
+            .sort_unstable_by_key(|e| std::cmp::Reverse(e.cycle_key()));
         self.cur_time = t;
         self.floor = t;
         self.scan_from = t + 1;
@@ -334,7 +291,7 @@ impl EventQueue {
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
         if self.cur.is_empty() {
-            let t = self.peek_cycle()?;
+            let t = self.next_cycle()?;
             self.activate(t);
         }
         self.len -= 1;
@@ -346,7 +303,7 @@ impl EventQueue {
     /// peek scan.
     pub fn pop_before(&mut self, end: u64) -> Option<Event> {
         if self.cur.is_empty() {
-            let t = self.peek_cycle()?;
+            let t = self.next_cycle()?;
             if t >= end {
                 return None;
             }
@@ -363,31 +320,15 @@ impl EventQueue {
     /// semantics: when a switch or link dies, the packets committed to
     /// it are claimed (and counted) instead of silently firing later.
     pub fn extract(&mut self, mut pred: impl FnMut(&EventKind) -> bool) -> Vec<Event> {
-        // The run is filtered in place, which keeps a started run in
-        // drain order.
-        let mut out = Vec::new();
-        self.run.retain(|e| {
-            let hit = pred(&e.kind);
-            if hit {
-                out.push(*e);
-            }
-            !hit
-        });
-        if !self.started {
-            self.run_min = self.run.iter().map(|e| e.time.0).min();
-        }
-        // Everything pending that is not in the run (filtered in place
-        // above) moves through `all`.
-        let mut all: Vec<Event> = Vec::with_capacity(self.len - out.len() - self.run.len());
+        let mut all: Vec<Event> = Vec::with_capacity(self.len);
         all.append(&mut self.cur);
         for slot in &mut self.wheel {
             all.append(slot);
         }
         all.extend(std::mem::take(&mut self.overflow));
-        let (hits, keep): (Vec<Event>, Vec<Event>) =
+        let (mut out, keep): (Vec<Event>, Vec<Event>) =
             all.into_iter().partition(|e| pred(&e.kind));
-        out.extend(hits);
-        self.len = self.run.len() + keep.len();
+        self.len = keep.len();
         for ev in keep {
             // Original `seq` values are preserved, so the surviving
             // events keep their canonical order exactly.
@@ -406,16 +347,16 @@ impl EventQueue {
         if self.len == 0 {
             return None;
         }
-        let off_wheel = self.off_wheel_min();
+        let heap = self.overflow.peek().map(|e| e.time.0);
         let end = self.floor + self.horizon();
         let mut t = self.scan_from;
         while t < end {
             if !self.wheel[(t & self.mask) as usize].is_empty() {
-                return Some(off_wheel.map_or(t, |o| o.min(t)));
+                return Some(heap.map_or(t, |o| o.min(t)));
             }
             t += 1;
         }
-        off_wheel
+        heap
     }
 
     /// Number of pending events.
@@ -442,14 +383,13 @@ impl EventQueue {
             all.extend(slot.iter().copied());
         }
         all.extend(self.overflow.iter().copied());
-        all.extend(self.run.iter().copied());
         all.sort_by_key(Event::canonical_key);
         (all, self.seq)
     }
 
     /// Rebuilds a queue from a [`EventQueue::snapshot_events`] capture.
-    /// Placement differs from the original queue (the rebuilt queue has
-    /// not started, so every event joins the pre-start run), but drain
+    /// Placement differs from the original queue (the rebuilt wheel
+    /// starts at cycle 0, so later events spill to the heap), but drain
     /// order is canonical-key driven and therefore identical; `seq`
     /// continues the original counter so later pushes keep their
     /// tie-break position.
@@ -470,15 +410,6 @@ mod tests {
     use super::*;
     use ddpm_topology::NodeId;
     use proptest::prelude::*;
-
-    /// A queue past its first activation, so later far-future pushes
-    /// take the spillover heap instead of the pre-start run.
-    fn started(horizon: u64) -> EventQueue {
-        let mut q = EventQueue::with_horizon(horizon);
-        q.push(SimTime(0), EventKind::Watchdog);
-        assert_eq!(q.pop().unwrap().kind, EventKind::Watchdog);
-        q
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -574,6 +505,7 @@ mod tests {
                     time: SimTime(5),
                     seq,
                     kind,
+                    slot: 0,
                 })
             })
             .collect();
@@ -613,7 +545,7 @@ mod tests {
         // Events far beyond the wheel horizon (watchdog sweeps, fault
         // schedules) spill to the heap and still pop in order, merged
         // with near events — including a same-cycle wheel/heap merge.
-        let mut q = started(8);
+        let mut q = EventQueue::with_horizon(8);
         let h = q.horizon();
         q.push(SimTime(10 * h), EventKind::Inject { pkt: 0 });
         q.push(SimTime(2), EventKind::Inject { pkt: 1 });
@@ -625,7 +557,7 @@ mod tests {
 
     #[test]
     fn spillover_merges_with_wheel_bucket_at_the_same_cycle() {
-        let mut q = started(8);
+        let mut q = EventQueue::with_horizon(8);
         let h = q.horizon();
         let t = 2 * h + 3;
         // Scheduled while `t` is beyond the horizon → heap.
@@ -700,32 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_start_events_drain_from_one_sorted_run() {
-        // The up-front timeline — far-future times included — lands in
-        // the run, not the heap, and merges with later wheel and heap
-        // events at the same cycle in canonical order.
-        let mut q = EventQueue::with_horizon(8);
-        let h = q.horizon();
-        for (t, pkt) in [(3 * h, 9), (5, 4), (3 * h, 2), (5, 1), (40 * h, 0)] {
-            q.push(SimTime(t), EventKind::Inject { pkt });
-        }
-        assert_eq!((q.run.len(), q.overflow.len()), (5, 0));
-        assert_eq!(q.next_time(), Some(5), "the unsorted run still peeks");
-        assert_eq!(q.pop().unwrap().canonical_key().2, 1);
-        q.push(SimTime(3 * h), EventKind::Arrive { pkt: 5, node: 0, from: 0 });
-        assert_eq!(q.overflow.len(), 1, "a far push after the start spills");
-        q.push(SimTime(h), EventKind::Reroute { pkt: 7, node: 0 });
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.time.0, e.canonical_key().2))
-            .collect();
-        assert_eq!(
-            order,
-            vec![(5, 4), (h, 7), (3 * h, 2), (3 * h, 5), (3 * h, 9), (40 * h, 0)]
-        );
-        assert_eq!(q.run.capacity(), 0, "a drained run frees its storage");
-    }
-
-    #[test]
     fn snapshot_restore_preserves_drain_order_and_seq() {
         let mut q = EventQueue::with_horizon(8);
         let h = q.horizon();
@@ -795,11 +701,11 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The wheel, the pre-start run and the spillover heap together
-        /// drain exactly like one `BinaryHeap<Event>`: through a bulk
-        /// pre-start batch (same-cycle ties, far-future times), pushes
-        /// after the start, mid-run `extract`, `snapshot_events` /
-        /// `restore` round trips and `pop_before` segments.
+        /// The wheel and the spillover heap together drain exactly like
+        /// one `BinaryHeap<Event>`: through a bulk batch before the first
+        /// pop (same-cycle ties, far-future times), later pushes, mid-run
+        /// `extract`, `snapshot_events` / `restore` round trips and
+        /// `pop_before` segments.
         #[test]
         fn queue_drains_like_a_reference_heap(
             batch in proptest::collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 0..120),
@@ -811,7 +717,7 @@ mod tests {
             let mut now = 0u64;
             let push = |q: &mut EventQueue, r: &mut BinaryHeap<Event>, seq: &mut u64, t: u64, kind| {
                 q.push(SimTime(t), kind);
-                r.push(Event { time: SimTime(t), seq: *seq, kind });
+                r.push(Event { time: SimTime(t), seq: *seq, kind, slot: 0 });
                 *seq += 1;
             };
             for &(a, b) in &batch {

@@ -41,6 +41,7 @@ pub mod mark;
 pub mod network;
 pub mod scheme;
 pub mod snapshot;
+pub mod source;
 pub mod stats;
 pub mod time;
 pub mod watchdog;
@@ -53,6 +54,7 @@ pub use mark::{MarkEnv, Marker, NoMarking};
 pub use network::{Delivered, DropReason, Simulation};
 pub use scheme::{Attribution, Collector, HopCost, MarkingScheme, SchemeSpec, CONVICTION_CONFIDENCE};
 pub use snapshot::{FlightSnap, SimSnapshot, SlotSnap};
+pub use source::TrafficSource;
 pub use stats::{ClassCounters, FaultStats, LatencyStats, SimStats};
 pub use time::SimTime;
 pub use watchdog::{WatchdogConfig, WatchdogStats};

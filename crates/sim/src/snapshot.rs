@@ -2,16 +2,18 @@
 //!
 //! A [`SimSnapshot`] captures everything about a run that *changes* as
 //! simulated time passes: the event queue (wheel **and** heap
-//! spillover, with the tie-break sequence counter), the packet arena
-//! (per-slot generation counters and in-flight payloads, including
-//! each packet's private RNG stream position), the dense port busy
-//! array, live faults, statistics, the delivered/drop logs that feed
-//! the scenario digest, and the watchdog/invariant-checker state.
+//! spillover, with the tie-break sequence counter), the packets in
+//! flight by handle (including each packet's private RNG stream
+//! position), the packets scheduled and not yet admitted, the traffic
+//! source's cursor, the dense port busy array, live faults,
+//! statistics, the delivered/drop logs that feed the scenario digest,
+//! and the watchdog/invariant-checker state.
 //!
 //! What it deliberately does **not** capture is the *static* half of a
-//! simulation — topology, router, marker, filter, config — which the
-//! driver reconstructs deterministically from the scenario description
-//! before calling [`crate::Simulation::restore`]. The `ddpm-checkpoint`
+//! simulation — topology, router, marker, filter, config — and the
+//! traffic source's waiting packets, which the driver reconstructs
+//! deterministically from the scenario description before calling
+//! [`crate::Simulation::restore`] and [`crate::Simulation::attach`]. The `ddpm-checkpoint`
 //! crate owns the on-disk encoding of this struct plus a fingerprint
 //! of that static half, so a snapshot can never be restored into a
 //! mismatched world.
@@ -63,15 +65,13 @@ pub struct FlightSnap {
     pub wire_mf: u16,
 }
 
-/// One packet-arena slot: its generation counter plus the payload if
-/// the packet is still materialised.
+/// One packet in flight, named by its handle.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SlotSnap {
-    /// Generation counter (bumped on every free; stale handles check
-    /// against it).
-    pub generation: u32,
-    /// The in-flight payload, `None` once delivered/dropped.
-    pub flight: Option<FlightSnap>,
+    /// The packet's handle (its RNG seed and same-cycle tie-break).
+    pub handle: u64,
+    /// The packet's dynamic state.
+    pub flight: FlightSnap,
 }
 
 /// Complete dynamic simulator state at one event boundary.
@@ -79,12 +79,21 @@ pub struct SlotSnap {
 pub struct SimSnapshot {
     /// Simulated time of the last processed event.
     pub now: u64,
-    /// Every pending event in canonical order (wheel + spillover).
+    /// Every pending event in canonical order (wheel + spillover); a
+    /// packet event names its packet by handle.
     pub events: Vec<Event>,
     /// The queue's insertion-sequence counter.
     pub queue_seq: u64,
-    /// The packet arena, slot by slot.
+    /// The packets in flight, by ascending handle.
     pub slots: Vec<SlotSnap>,
+    /// The next handle `Simulation::schedule` hands out.
+    pub next_handle: u64,
+    /// Packets scheduled and not yet admitted, as `(time, handle,
+    /// packet)` in admission order.
+    pub scheduled: Vec<(u64, u64, Packet)>,
+    /// Packets the attached traffic source had yielded, when the run
+    /// has one.
+    pub source_cursor: Option<u64>,
     /// Dense per-port busy-until times.
     pub ports: Vec<u64>,
     /// Run statistics accumulated so far.
@@ -118,13 +127,10 @@ pub struct SimSnapshot {
     pub last_progress: u64,
     /// True while a watchdog sweep is scheduled.
     pub watchdog_armed: bool,
-    /// Staged (not yet materialised) injections, in time order —
-    /// the bounded-memory injection backlog.
-    pub pending: Vec<(u64, Packet)>,
-    /// High-water mark of the staged backlog.
-    pub pending_peak: u64,
     /// High-water mark of packet-arena bytes so far.
     pub peak_arena_bytes: u64,
+    /// High-water mark of packets in flight so far.
+    pub peak_in_flight: u64,
     /// Invariant violations recorded so far.
     pub violations: Vec<Violation>,
     /// The invariant checker's bounded trace tail, oldest first.
@@ -140,14 +146,11 @@ pub struct SimSnapshot {
 }
 
 impl SimSnapshot {
-    /// Number of live packets materialised in this snapshot (recomputed
-    /// from the slots; equals [`SimSnapshot::live_count`] for any
-    /// snapshot the simulator produced).
+    /// Number of launched packets in this snapshot (recomputed from the
+    /// slots; equals [`SimSnapshot::live_count`] for any snapshot the
+    /// simulator produced).
     #[must_use]
     pub fn live_flights(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.flight.as_ref().is_some_and(|f| f.launched))
-            .count()
+        self.slots.iter().filter(|s| s.flight.launched).count()
     }
 }

@@ -59,10 +59,14 @@ pub struct SimStats {
     /// trace is incomplete).
     pub telemetry_degraded: bool,
     /// High-water mark of packet-arena bytes (struct-of-arrays slots +
-    /// resident cold payloads + staged-injection backlog). Memory
-    /// telemetry, excluded from `Debug` so conformance digests are
-    /// untouched.
+    /// cold payloads of the packets in flight). Memory telemetry,
+    /// excluded from `Debug` so conformance digests are untouched.
     pub peak_arena_bytes: u64,
+    /// High-water mark of packets in the arena at once: admitted and
+    /// not yet delivered or dropped. The arena holds at most this many
+    /// slots, so it bounds [`SimStats::peak_arena_bytes`]. Excluded from
+    /// `Debug` like it.
+    pub peak_in_flight: u64,
     /// Bytes of the dense per-port busy table (fixed per topology).
     /// Memory telemetry, excluded from `Debug` like
     /// [`SimStats::peak_arena_bytes`].
@@ -185,12 +189,13 @@ mod tests {
     fn memory_telemetry_never_prints() {
         let s = SimStats {
             peak_arena_bytes: 123,
+            peak_in_flight: 789,
             port_bytes: 456,
             ..SimStats::default()
         };
         let out = format!("{s:?}");
         assert!(
-            !out.contains("arena") && !out.contains("port_bytes"),
+            !out.contains("arena") && !out.contains("port_bytes") && !out.contains("in_flight"),
             "memory fields must stay out of the digested Debug shape"
         );
     }

@@ -255,9 +255,9 @@ fn corpus_digests() -> Vec<(String, String)> {
 /// a 16×16×4 3-D mesh and the 2^10 hypercube — flooded the same way
 /// the full-size scale suite floods the 128×128 grids, plus each cell
 /// re-run under `staged_injection`. A pure flood is already
-/// time-ordered, so the staged (bounded-memory, lazily materialised)
-/// run must reproduce the eager digest *exactly* — the golden file
-/// pins both lines, locking that order-equivalence. Appended after
+/// time-ordered, so its time-ordered handles are its generation-ordered
+/// ones and the staged run must reproduce the eager digest *exactly* —
+/// the golden file pins both lines, locking that order-equivalence. Appended after
 /// the original corpus so the pre-existing golden lines stay
 /// byte-identical.
 fn scale_cells() -> Vec<(String, ScenarioConfig)> {
