@@ -46,6 +46,14 @@ pub enum DecodeError {
     UnknownIdent(String),
     /// Bytes left over after the root value — length corruption.
     TrailingBytes(usize),
+    /// Some delivery records carry a recorded path and others do not;
+    /// a run records either every path or none.
+    PartialPaths {
+        /// Records that carry a path.
+        paths: usize,
+        /// Delivery records in the snapshot.
+        delivered: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -56,6 +64,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "embedded string is not UTF-8"),
             DecodeError::UnknownIdent(s) => write!(f, "unknown interned identifier {s:?}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after snapshot"),
+            DecodeError::PartialPaths { paths, delivered } => {
+                write!(f, "recorded paths for {paths} of {delivered} deliveries")
+            }
         }
     }
 }
@@ -614,12 +625,15 @@ fn drop_reason_from_tag(tag: u8) -> Result<DropReason, DecodeError> {
     })
 }
 
-fn put_delivered(w: &mut Writer, d: &Delivered) {
+/// One delivery record, followed by its recorded path as an
+/// `Option` — the simulator keeps paths in a side log, the format
+/// keeps them inline.
+fn put_delivered(w: &mut Writer, d: &Delivered, path: Option<&[NodeId]>) {
     put_packet(w, &d.packet);
     w.u64(d.injected_at.0);
     w.u64(d.delivered_at.0);
     w.u32(d.hops);
-    match &d.path {
+    match path {
         None => w.u8(0),
         Some(path) => {
             w.u8(1);
@@ -631,25 +645,26 @@ fn put_delivered(w: &mut Writer, d: &Delivered) {
     }
 }
 
-fn get_delivered(r: &mut Reader<'_>) -> Result<Delivered, DecodeError> {
-    Ok(Delivered {
+fn get_delivered(r: &mut Reader<'_>) -> Result<(Delivered, Option<Vec<NodeId>>), DecodeError> {
+    let d = Delivered {
         packet: get_packet(r)?,
         injected_at: SimTime(r.u64()?),
         delivered_at: SimTime(r.u64()?),
         hops: r.u32()?,
-        path: match r.u8()? {
-            0 => None,
-            1 => {
-                let n = r.seq_len()?;
-                let mut path = Vec::with_capacity(n);
-                for _ in 0..n {
-                    path.push(get_node(r)?);
-                }
-                Some(path)
+    };
+    let path = match r.u8()? {
+        0 => None,
+        1 => {
+            let n = r.seq_len()?;
+            let mut path = Vec::with_capacity(n);
+            for _ in 0..n {
+                path.push(get_node(r)?);
             }
-            tag => return Err(DecodeError::BadTag { what: "Option<path>", tag }),
-        },
-    })
+            Some(path)
+        }
+        tag => return Err(DecodeError::BadTag { what: "Option<path>", tag }),
+    };
+    Ok((d, path))
 }
 
 fn put_violation(w: &mut Writer, v: &Violation) {
@@ -918,8 +933,8 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
     }
     put_stats(&mut w, &snap.stats);
     w.len(snap.delivered.len());
-    for d in &snap.delivered {
-        put_delivered(&mut w, d);
+    for (i, d) in snap.delivered.iter().enumerate() {
+        put_delivered(&mut w, d, snap.paths.get(i).map(Vec::as_slice));
     }
     w.len(snap.drops.len());
     for &(id, reason) in &snap.drops {
@@ -1040,8 +1055,17 @@ pub(crate) fn decode_snapshot_version(
     let stats = get_stats(&mut r, v3)?;
     let n = r.seq_len()?;
     let mut delivered = Vec::with_capacity(n);
+    let mut paths = Vec::new();
     for _ in 0..n {
-        delivered.push(get_delivered(&mut r)?);
+        let (d, path) = get_delivered(&mut r)?;
+        delivered.push(d);
+        paths.extend(path);
+    }
+    if !paths.is_empty() && paths.len() != n {
+        return Err(DecodeError::PartialPaths {
+            paths: paths.len(),
+            delivered: n,
+        });
     }
     let n = r.seq_len()?;
     let mut drops = Vec::with_capacity(n);
@@ -1113,6 +1137,7 @@ pub(crate) fn decode_snapshot_version(
         ports,
         stats,
         delivered,
+        paths,
         drops,
         failed_links,
         failed_switches,
@@ -1249,8 +1274,8 @@ mod tests {
                 injected_at: SimTime(10),
                 delivered_at: SimTime(60),
                 hops: 6,
-                path: Some(vec![NodeId(0), NodeId(1)]),
             }],
+            paths: vec![vec![NodeId(0), NodeId(1)]],
             drops: vec![
                 (PacketId(5), DropReason::BufferOverflow),
                 (PacketId(6), DropReason::DeadlockVictim),
@@ -1334,6 +1359,32 @@ mod tests {
         // Debug covers every field, including the conditional
         // telemetry_degraded one, which the sample sets.
         assert_eq!(format!("{snap:?}"), format!("{back:?}"));
+    }
+
+    #[test]
+    fn format_4_bytes_are_pinned() {
+        // FNV-1a of the sample's encoding as written when recorded
+        // paths were still a field of `Delivered`: moving them to a
+        // side log must not move a byte of the format.
+        let bytes = encode_snapshot(&sample_snapshot());
+        assert_eq!(bytes.len(), 1523);
+        assert_eq!(crate::fnv64(&bytes), 0xb39e_9622_12a4_dc4d);
+    }
+
+    #[test]
+    fn paths_for_some_deliveries_only_are_rejected() {
+        let mut snap = sample_snapshot();
+        snap.delivered.push(snap.delivered[0].clone());
+        assert_eq!(
+            decode_snapshot(&encode_snapshot(&snap)).expect_err("one path for two deliveries"),
+            DecodeError::PartialPaths {
+                paths: 1,
+                delivered: 2
+            }
+        );
+        snap.paths.clear();
+        let back = decode_snapshot(&encode_snapshot(&snap)).expect("no paths at all decodes");
+        assert!(back.paths.is_empty());
     }
 
     #[test]

@@ -450,6 +450,7 @@ mod tests {
             ports: vec![0; 8],
             stats: ddpm_sim::SimStats::default(),
             delivered: Vec::new(),
+            paths: Vec::new(),
             drops: Vec::new(),
             failed_links: Vec::new(),
             failed_switches: Vec::new(),

@@ -87,8 +87,8 @@ fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
 
 fn fingerprint_run(sim: &Simulation<'_>) -> String {
     let mut out = String::new();
-    for d in sim.delivered() {
-        out.push_str(&format!("D {:?}\n", d));
+    for (i, d) in sim.delivered().iter().enumerate() {
+        out.push_str(&format!("D {:?} {:?}\n", d, sim.path(i)));
     }
     for (id, r) in sim.drops() {
         out.push_str(&format!("X {:?} {:?}\n", id, r));

@@ -135,7 +135,6 @@ mod tests {
             injected_at: SimTime::ZERO,
             delivered_at: SimTime(10),
             hops: 3,
-            path: None,
         }
     }
 

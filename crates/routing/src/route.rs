@@ -221,20 +221,43 @@ impl Router {
         }
     }
 
+    /// Checks that the router is defined on `topo`. The turn models
+    /// assume a fabric without wrap-around cycles, so they need a mesh:
+    /// west-first and north-last a 2-D one, negative-first any.
+    /// Routing a packet on any other fabric panics.
+    ///
+    /// # Errors
+    /// Names the router and the fabrics it is defined on.
+    pub fn check_topology(&self, topo: &Topology) -> Result<(), String> {
+        let mesh = matches!(topo, Topology::Mesh(_));
+        let (ok, domain) = match self {
+            Router::WestFirst | Router::NorthLast => (mesh && topo.ndims() == 2, "2-D meshes"),
+            Router::NegativeFirst => (mesh, "meshes"),
+            _ => return Ok(()),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "{self} routing is defined on {domain}, not on a {topo}"
+            ))
+        }
+    }
+
     /// All routers applicable to `topo`, for experiment sweeps.
     #[must_use]
     pub fn all_for(topo: &Topology) -> Vec<Router> {
-        let mut out = vec![Router::DimensionOrder];
-        if matches!(topo.kind(), ddpm_topology::TopologyKind::Mesh) {
-            if topo.ndims() == 2 {
-                out.push(Router::WestFirst);
-                out.push(Router::NorthLast);
-            }
-            out.push(Router::NegativeFirst);
-        }
-        out.push(Router::MinimalAdaptive);
-        out.push(Router::fully_adaptive_for(topo));
-        out
+        [
+            Router::DimensionOrder,
+            Router::WestFirst,
+            Router::NorthLast,
+            Router::NegativeFirst,
+            Router::MinimalAdaptive,
+            Router::fully_adaptive_for(topo),
+        ]
+        .into_iter()
+        .filter(|r| r.check_topology(topo).is_ok())
+        .collect()
     }
 }
 

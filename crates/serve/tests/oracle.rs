@@ -179,7 +179,6 @@ impl<'a> Model<'a> {
                 injected_at: SimTime(rec.injected_at),
                 delivered_at: SimTime(self.now),
                 hops: rec.state.hops,
-                path: None,
             });
             return;
         }
@@ -263,18 +262,25 @@ fn attack_workload(spec: &AttackSpec, gen: &mut Gen) -> Workload {
     }
 }
 
-/// The D/X/S lines of a finished run.
-fn lines(
+/// The D/X/S lines of a finished run; `path(i)` is the `i`-th
+/// delivery's recorded path.
+fn lines<'a>(
     delivered: &[Delivered],
+    path: impl Fn(usize) -> Option<&'a [NodeId]>,
     drops: &[(ddpm_net::PacketId, DropReason)],
     stats: &SimStats,
 ) -> Vec<String> {
     let mut out: Vec<String> = delivered
         .iter()
-        .map(|d| {
+        .enumerate()
+        .map(|(i, d)| {
             format!(
                 "D {:?} {:?} {:?} {} {:?}",
-                d.packet, d.injected_at, d.delivered_at, d.hops, d.path
+                d.packet,
+                d.injected_at,
+                d.delivered_at,
+                d.hops,
+                path(i)
             )
         })
         .collect();
@@ -511,8 +517,8 @@ fn check(draw: &[u64; 8], pauses: &[(u64, u64)]) -> Result<(), TestCaseError> {
     model.finish();
 
     let sim = world.sim();
-    let got = lines(sim.delivered(), sim.drops(), sim.stats());
-    let want = lines(&model.delivered, &model.drops, &model.stats);
+    let got = lines(sim.delivered(), |i| sim.path(i), sim.drops(), sim.stats());
+    let want = lines(&model.delivered, |_| None, &model.drops, &model.stats);
     prop_assert_eq!(
         got.len(),
         want.len(),

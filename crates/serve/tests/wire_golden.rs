@@ -297,3 +297,36 @@ fn subscribe_lines_are_pinned() {
         r#"{"id":[3],"ok":true,"events":[],"dropped":0}"#
     );
 }
+
+/// A turn-model router on a fabric it is not defined on is refused at
+/// `tenant.create` with a pinned error, and no tenant is made.
+#[test]
+fn turn_model_off_its_fabric_is_refused_at_create() {
+    let live = LiveServer::start();
+    let stream = TcpStream::connect(&live.addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    let mut rt = |line: &str| roundtrip(&mut reader, &mut writer, line);
+    for (id, router, domain) in [
+        (1, "west_first", "2-D meshes"),
+        (2, "north_last", "2-D meshes"),
+        (3, "negative_first", "meshes"),
+    ] {
+        let create = rt(&format!(
+            r#"{{"id":{id},"verb":"tenant.create","name":"{router}","autorun":false,"scenario":{{"topology":{{"kind":"torus","dims":[4,4]}},"router":"{router}","scheme":"ddpm"}}}}"#
+        ));
+        let shown = router.replace('_', "-");
+        assert_eq!(
+            create,
+            format!(
+                r#"{{"id":{id},"ok":false,"error":"router: {shown} routing is defined on {domain}, not on a 4x4 torus"}}"#
+            )
+        );
+        assert_eq!(
+            rt(&format!(
+                r#"{{"id":9,"verb":"tenant.stats","tenant":"{router}"}}"#
+            )),
+            format!(r#"{{"id":9,"ok":false,"error":"no such tenant `{router}`"}}"#)
+        );
+    }
+}

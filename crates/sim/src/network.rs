@@ -81,6 +81,12 @@ impl DropReason {
 }
 
 /// A packet that reached its destination compute node.
+///
+/// A long run keeps one record per delivery (the victim's view), so
+/// the record's size is most of such a run's memory: 824 106 records
+/// on perfbench's `adaptive-auth` workload. Recorded paths, which only
+/// tests and examples ask for, live beside the log
+/// ([`Simulation::path`]), not in it.
 #[derive(Clone, Debug)]
 pub struct Delivered {
     /// The packet as received — its header carries the final marking
@@ -92,9 +98,11 @@ pub struct Delivered {
     pub delivered_at: SimTime,
     /// Switch-to-switch hops taken.
     pub hops: u32,
-    /// Full node path, present when [`SimConfig::record_paths`] is set.
-    pub path: Option<Vec<NodeId>>,
 }
+
+// The delivery log grows by one record per delivered packet; a larger
+// record costs every long run memory in proportion.
+const _: () = assert!(std::mem::size_of::<Delivered>() == 72);
 
 impl Delivered {
     /// End-to-end latency in cycles.
@@ -455,6 +463,9 @@ pub struct Simulation<'a> {
     now: SimTime,
     stats: SimStats,
     delivered: Vec<Delivered>,
+    /// Node path of each delivery, parallel to `delivered`; empty
+    /// unless [`SimConfig::record_paths`] is set.
+    paths: Vec<Vec<NodeId>>,
     drops: Vec<(ddpm_net::PacketId, DropReason)>,
     /// When the current degraded period started, if one is open.
     degraded_since: Option<u64>,
@@ -593,6 +604,7 @@ impl<'a> Simulation<'a> {
             now: SimTime::ZERO,
             stats: SimStats::default(),
             delivered: Vec::new(),
+            paths: Vec::new(),
             drops: Vec::new(),
             degraded_since,
             pending_recovery: None,
@@ -889,6 +901,13 @@ impl<'a> Simulation<'a> {
         &self.delivered
     }
 
+    /// Full node path of the `i`-th delivery, present when
+    /// [`SimConfig::record_paths`] is set.
+    #[must_use]
+    pub fn path(&self, i: usize) -> Option<&[NodeId]> {
+        self.paths.get(i).map(Vec::as_slice)
+    }
+
     /// Drop log: `(packet id, reason)` in drop order.
     #[must_use]
     pub fn drops(&self) -> &[(ddpm_net::PacketId, DropReason)] {
@@ -991,6 +1010,7 @@ impl<'a> Simulation<'a> {
             ports: self.ports.clone(),
             stats: self.stats,
             delivered: self.delivered.clone(),
+            paths: self.paths.clone(),
             drops: self.drops.clone(),
             failed_links,
             failed_switches,
@@ -1029,8 +1049,10 @@ impl<'a> Simulation<'a> {
     ///
     /// # Panics
     /// If this simulation already scheduled packets or processed
-    /// events, or if the snapshot's port table does not match the
-    /// topology (the snapshot was taken in a different world).
+    /// events, if the snapshot's port table does not match the
+    /// topology (the snapshot was taken in a different world), or if it
+    /// does not carry one recorded path per delivery exactly when
+    /// [`SimConfig::record_paths`] is set.
     pub fn restore(&mut self, snap: SimSnapshot) {
         assert!(
             self.pkts.len() == 0
@@ -1044,6 +1066,16 @@ impl<'a> Simulation<'a> {
             snap.ports.len(),
             self.ports.len(),
             "snapshot was taken on a different topology"
+        );
+        let want_paths = if self.cfg.record_paths {
+            snap.delivered.len()
+        } else {
+            0
+        };
+        assert_eq!(
+            snap.paths.len(),
+            want_paths,
+            "snapshot's recorded paths do not match record_paths"
         );
         let mut slot_of: HashMap<u64, u32> = HashMap::with_capacity(snap.slots.len());
         let mut waiting: HashSet<u64> = HashSet::new();
@@ -1105,6 +1137,7 @@ impl<'a> Simulation<'a> {
         self.now = SimTime(snap.now);
         self.stats = snap.stats;
         self.delivered = snap.delivered;
+        self.paths = snap.paths;
         self.drops = snap.drops;
         self.live = FaultSet::from_parts(snap.failed_links, snap.failed_switches);
         self.degraded_since = snap.degraded_since;
@@ -1533,14 +1566,15 @@ impl<'a> Simulation<'a> {
                 }
             }
             let pkt_id = flight.packet.id.0;
-            let d = Delivered {
+            if self.cfg.record_paths {
+                self.paths.push(flight.path);
+            }
+            self.delivered.push(Delivered {
                 packet: flight.packet,
                 injected_at: flight.injected_at,
                 delivered_at: self.now,
                 hops,
-                path: self.cfg.record_paths.then_some(flight.path),
-            };
-            self.delivered.push(d);
+            });
             if self.obs {
                 self.emit_id(
                     pkt_id,
@@ -1976,8 +2010,7 @@ mod tests {
             mk_packet(&map, 1, NodeId(0), NodeId(5), TrafficClass::Benign),
         );
         sim.run();
-        let d = &sim.delivered()[0];
-        let path = d.path.as_ref().unwrap();
+        let path = sim.path(0).unwrap();
         // (0,0) -> (1,0) -> (1,1): dimension order.
         assert_eq!(path, &[NodeId(0), NodeId(4), NodeId(5)]);
     }
@@ -2126,7 +2159,8 @@ mod tests {
             sim.run();
             sim.delivered()
                 .iter()
-                .map(|d| (d.packet.id, d.delivered_at, d.path.clone()))
+                .enumerate()
+                .map(|(i, d)| (d.packet.id, d.delivered_at, sim.path(i).map(<[_]>::to_vec)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(123), run(123), "same seed must reproduce exactly");
@@ -2195,10 +2229,8 @@ mod tests {
             );
         }
         sim.run();
-        let distinct: std::collections::HashSet<_> = sim
-            .delivered()
-            .iter()
-            .map(|d| d.path.clone().unwrap())
+        let distinct: std::collections::HashSet<_> = (0..sim.delivered().len())
+            .map(|i| sim.path(i).unwrap())
             .collect();
         assert!(distinct.len() > 5, "expected many distinct paths");
     }
@@ -2474,7 +2506,7 @@ mod tests {
         );
         let stats = sim.run();
         assert_eq!(stats.benign.delivered, 1);
-        let path = sim.delivered()[0].path.as_ref().unwrap();
+        let path = sim.path(0).unwrap();
         assert_eq!(
             path,
             &[NodeId(0), NodeId(1), NodeId(5)],

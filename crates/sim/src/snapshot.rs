@@ -100,6 +100,9 @@ pub struct SimSnapshot {
     pub stats: SimStats,
     /// Delivered-packet log (feeds the scenario digest).
     pub delivered: Vec<Delivered>,
+    /// Node path of each delivery, parallel to `delivered`; empty
+    /// unless `record_paths`.
+    pub paths: Vec<Vec<NodeId>>,
     /// Drop log (feeds the scenario digest).
     pub drops: Vec<(PacketId, DropReason)>,
     /// Failed links of the live fault set (normalised, sorted).

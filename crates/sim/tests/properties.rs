@@ -154,7 +154,8 @@ proptest! {
             sim.run();
             sim.delivered()
                 .iter()
-                .map(|d| (d.packet.id, d.delivered_at, d.hops, d.path.clone()))
+                .enumerate()
+                .map(|(i, d)| (d.packet.id, d.delivered_at, d.hops, sim.path(i).map(<[_]>::to_vec)))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(transcript(seed), transcript(seed));

@@ -139,8 +139,8 @@ fn scheduled_record(topo: &Topology, handle: usize, time: SimTime, packet: Packe
 /// Everything observable about a finished run, as one comparable string.
 fn fingerprint(sim: &Simulation<'_>) -> String {
     let mut out = String::new();
-    for d in sim.delivered() {
-        out.push_str(&format!("D {:?}\n", d));
+    for (i, d) in sim.delivered().iter().enumerate() {
+        out.push_str(&format!("D {:?} {:?}\n", d, sim.path(i)));
     }
     for (id, r) in sim.drops() {
         out.push_str(&format!("X {:?} {:?}\n", id, r));

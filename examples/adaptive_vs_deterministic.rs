@@ -18,7 +18,7 @@ fn run_flow(
     policy: SelectionPolicy,
     marker: &dyn Marker,
     packets: u64,
-) -> Vec<Delivered> {
+) -> (Vec<Delivered>, Vec<Vec<NodeId>>) {
     let faults = FaultSet::none();
     let map = AddrMap::for_topology(topo);
     let mut factory = PacketFactory::new(map);
@@ -39,7 +39,10 @@ fn run_flow(
         sim.schedule(SimTime(k * 8), factory.benign(src, dst, L4::udp(1, 7), 128));
     }
     sim.run();
-    sim.into_delivered()
+    let paths = (0..sim.delivered().len())
+        .map(|i| sim.path(i).expect("paths are recorded").to_vec())
+        .collect();
+    (sim.into_delivered(), paths)
 }
 
 fn main() {
@@ -66,8 +69,8 @@ fn main() {
         println!("== {label} ==");
 
         // How many distinct paths did the flow actually take?
-        let plain = run_flow(&topo, router, policy, &NoMarking, 300);
-        let paths: HashSet<_> = plain.iter().map(|d| d.path.clone().unwrap()).collect();
+        let (plain, plain_paths) = run_flow(&topo, router, policy, &NoMarking, 300);
+        let paths: HashSet<_> = plain_paths.into_iter().collect();
         let hops: HashSet<u32> = plain.iter().map(|d| d.hops).collect();
         println!(
             "  distinct paths taken : {:4}   hop counts seen: {:?}",
@@ -80,7 +83,7 @@ fn main() {
         );
 
         // DPM: one signature per path shape -> fragmentation.
-        let dpm_runs = run_flow(&topo, router, policy, &DpmScheme::new(), 300);
+        let (dpm_runs, _) = run_flow(&topo, router, policy, &DpmScheme::new(), 300);
         let sigs: HashSet<u16> = dpm_runs
             .iter()
             .map(|d| d.packet.header.identification.raw())
@@ -92,7 +95,7 @@ fn main() {
 
         // DDPM: every packet identifies the same — correct — source.
         let scheme = DdpmScheme::new(&topo).expect("fits");
-        let ddpm_runs = run_flow(&topo, router, policy, &scheme, 300);
+        let (ddpm_runs, _) = run_flow(&topo, router, policy, &scheme, 300);
         let ids: HashSet<Option<NodeId>> = ddpm_runs
             .iter()
             .map(|d| {
