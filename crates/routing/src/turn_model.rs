@@ -16,7 +16,7 @@
 //! non-productive (misroute) hops. Selection policies prefer productive
 //! hops, so misroutes only happen around faults or congestion.
 
-use crate::route::{Candidate, RouteCtx};
+use crate::route::{Candidate, RouteCtx, Router};
 use crate::state::RouteState;
 use ddpm_topology::{Coord, Direction, Topology};
 
@@ -46,11 +46,10 @@ fn order_productive_first(cands: &mut [Candidate]) {
     cands.sort_by_key(|c| !c.productive);
 }
 
-fn assert_mesh2d(topo: &Topology, algo: &str) {
-    assert!(
-        matches!(topo, Topology::Mesh(_)) && topo.ndims() == 2,
-        "{algo} routing is defined on 2-D meshes, not on a {topo}"
-    );
+fn assert_defined_on(router: Router, topo: &Topology) {
+    if let Err(e) = router.check_topology(topo) {
+        panic!("{e}");
+    }
 }
 
 /// West-first candidates (2-D mesh).
@@ -87,7 +86,7 @@ pub fn west_first_into(
     state: &RouteState,
     out: &mut Vec<Candidate>,
 ) {
-    assert_mesh2d(ctx.topo, "west-first");
+    assert_defined_on(Router::WestFirst, ctx.topo);
     let dx = dst.get(0) - cur.get(0);
     let west = Direction::minus(0);
     if dx < 0 {
@@ -135,7 +134,7 @@ pub fn north_last_into(
     state: &RouteState,
     out: &mut Vec<Candidate>,
 ) {
-    assert_mesh2d(ctx.topo, "north-last");
+    assert_defined_on(Router::NorthLast, ctx.topo);
     let north = Direction::plus(1);
     let dx = dst.get(0) - cur.get(0);
     let dy = dst.get(1) - cur.get(1);
@@ -188,11 +187,7 @@ pub fn negative_first_into(
     state: &RouteState,
     out: &mut Vec<Candidate>,
 ) {
-    assert!(
-        matches!(ctx.topo, Topology::Mesh(_)),
-        "negative-first routing is defined on meshes, not on a {}",
-        ctx.topo
-    );
+    assert_defined_on(Router::NegativeFirst, ctx.topo);
     let n = ctx.topo.ndims();
     let needs_negative = (0..n).any(|d| dst.get(d) < cur.get(d));
     if needs_negative {
