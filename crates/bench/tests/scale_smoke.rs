@@ -19,7 +19,8 @@
 //! plus the partial wave in flight). The budgets below give roughly 2×
 //! headroom over those numbers — tight enough that going
 //! resident-per-scheduled-packet (~100 B × 32 000 extra) blows it.
-//! Since slots recycle (2026-10) the arena peaks at 9 450 B.
+//! Since slots recycle (2026-10) the arena peaks at 8 154 B: 54 slots
+//! of a 55 B row and a 96 B cold record.
 //!
 //! Debug builds skip: the cell is a 32 000-packet × ~130-hop flood
 //! and only finishes promptly in release (CI runs
@@ -88,8 +89,8 @@ const EAGER_PACKETS: u64 = 100_000;
 /// One arena slot row: handle, flags, wire MF, last switch, two
 /// counters, three timestamps and the cold-record pointer.
 const SLOT_ROW_BYTES: u64 = 55;
-/// One boxed cold record: packet, route state, RNG stream and path.
-const COLD_RECORD_BYTES: u64 = 120;
+/// One boxed cold record: packet, route state and RNG stream.
+const COLD_RECORD_BYTES: u64 = 96;
 /// Packets in flight at once. The flood below loads each port to about
 /// a quarter of its capacity and keeps a few hundred packets in
 /// flight; this allows 4 096.
@@ -103,7 +104,7 @@ fn eager_flood_arena_tracks_packets_in_flight() {
     }
     // The arena holds one slot row and one cold record per packet in
     // flight at its peak, and nothing per scheduled packet. Measured
-    // (2026-10): 76 475 B for 437 packets in flight, under a 716 800 B
+    // (2026-10): 65 987 B for 437 packets in flight, under a 618 496 B
     // budget. An arena with a row per scheduled packet reads 5 500 000 B
     // or more; the one with a row and a stored packet per scheduled
     // packet that preceded it peaked at 9 951 480 B.

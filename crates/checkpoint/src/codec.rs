@@ -46,13 +46,12 @@ pub enum DecodeError {
     UnknownIdent(String),
     /// Bytes left over after the root value — length corruption.
     TrailingBytes(usize),
-    /// Some delivery records carry a recorded path and others do not;
-    /// a run records either every path or none.
-    PartialPaths {
-        /// Records that carry a path.
-        paths: usize,
-        /// Delivery records in the snapshot.
-        delivered: usize,
+    /// A delivery or flight record carries a recorded path. Format 4
+    /// keeps a slot for one in each record; the simulator no longer
+    /// records paths, so a file that fills a slot is refused.
+    RecordedPath {
+        /// Which record: `"delivery"` or `"flight"`.
+        record: &'static str,
     },
 }
 
@@ -64,8 +63,8 @@ impl fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "embedded string is not UTF-8"),
             DecodeError::UnknownIdent(s) => write!(f, "unknown interned identifier {s:?}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after snapshot"),
-            DecodeError::PartialPaths { paths, delivered } => {
-                write!(f, "recorded paths for {paths} of {delivered} deliveries")
+            DecodeError::RecordedPath { record } => {
+                write!(f, "{record} record carries a recorded path")
             }
         }
     }
@@ -80,6 +79,7 @@ const IDENTS: &[&str] = &[
     // Invariant identifiers (`Violation::invariant`).
     "conservation",
     "mark_in_transit",
+    // No longer checked; old violation logs name it.
     "path_consistency",
     "fault_coherence",
     "stale_handle",
@@ -625,46 +625,26 @@ fn drop_reason_from_tag(tag: u8) -> Result<DropReason, DecodeError> {
     })
 }
 
-/// One delivery record, followed by its recorded path as an
-/// `Option` — the simulator keeps paths in a side log, the format
-/// keeps them inline.
-fn put_delivered(w: &mut Writer, d: &Delivered, path: Option<&[NodeId]>) {
+/// One delivery record, followed by the format's `0u8` "no path" tag.
+fn put_delivered(w: &mut Writer, d: &Delivered) {
     put_packet(w, &d.packet);
     w.u64(d.injected_at.0);
     w.u64(d.delivered_at.0);
     w.u32(d.hops);
-    match path {
-        None => w.u8(0),
-        Some(path) => {
-            w.u8(1);
-            w.len(path.len());
-            for &n in path {
-                put_node(w, n);
-            }
-        }
-    }
+    w.u8(0);
 }
 
-fn get_delivered(r: &mut Reader<'_>) -> Result<(Delivered, Option<Vec<NodeId>>), DecodeError> {
+fn get_delivered(r: &mut Reader<'_>) -> Result<Delivered, DecodeError> {
     let d = Delivered {
         packet: get_packet(r)?,
         injected_at: SimTime(r.u64()?),
         delivered_at: SimTime(r.u64()?),
         hops: r.u32()?,
     };
-    let path = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.seq_len()?;
-            let mut path = Vec::with_capacity(n);
-            for _ in 0..n {
-                path.push(get_node(r)?);
-            }
-            Some(path)
-        }
-        tag => return Err(DecodeError::BadTag { what: "Option<path>", tag }),
-    };
-    Ok((d, path))
+    match r.u8()? {
+        0 => Ok(d),
+        _ => Err(DecodeError::RecordedPath { record: "delivery" }),
+    }
 }
 
 fn put_violation(w: &mut Writer, v: &Violation) {
@@ -804,10 +784,8 @@ fn put_flight(w: &mut Writer, f: &FlightSnap) {
         w.u64(word);
     }
     w.u64(f.injected_at);
-    w.len(f.path.len());
-    for &n in &f.path {
-        put_node(w, n);
-    }
+    // The format's path length, always zero.
+    w.u32(0);
     w.u32(f.inject_attempts);
     w.u32(f.reroutes);
     w.bool(f.under_fault);
@@ -824,17 +802,14 @@ fn get_flight(r: &mut Reader<'_>) -> Result<FlightSnap, DecodeError> {
     let state = get_route_state(r)?;
     let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     let injected_at = r.u64()?;
-    let n = r.seq_len()?;
-    let mut path = Vec::with_capacity(n);
-    for _ in 0..n {
-        path.push(get_node(r)?);
+    if r.u32()? != 0 {
+        return Err(DecodeError::RecordedPath { record: "flight" });
     }
     Ok(FlightSnap {
         packet,
         state,
         rng,
         injected_at,
-        path,
         inject_attempts: r.u32()?,
         reroutes: r.u32()?,
         under_fault: r.bool()?,
@@ -933,8 +908,8 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
     }
     put_stats(&mut w, &snap.stats);
     w.len(snap.delivered.len());
-    for (i, d) in snap.delivered.iter().enumerate() {
-        put_delivered(&mut w, d, snap.paths.get(i).map(Vec::as_slice));
+    for d in &snap.delivered {
+        put_delivered(&mut w, d);
     }
     w.len(snap.drops.len());
     for &(id, reason) in &snap.drops {
@@ -1055,17 +1030,8 @@ pub(crate) fn decode_snapshot_version(
     let stats = get_stats(&mut r, v3)?;
     let n = r.seq_len()?;
     let mut delivered = Vec::with_capacity(n);
-    let mut paths = Vec::new();
     for _ in 0..n {
-        let (d, path) = get_delivered(&mut r)?;
-        delivered.push(d);
-        paths.extend(path);
-    }
-    if !paths.is_empty() && paths.len() != n {
-        return Err(DecodeError::PartialPaths {
-            paths: paths.len(),
-            delivered: n,
-        });
+        delivered.push(get_delivered(&mut r)?);
     }
     let n = r.seq_len()?;
     let mut drops = Vec::with_capacity(n);
@@ -1137,7 +1103,6 @@ pub(crate) fn decode_snapshot_version(
         ports,
         stats,
         delivered,
-        paths,
         drops,
         failed_links,
         failed_switches,
@@ -1187,7 +1152,6 @@ mod tests {
             },
             rng: [seed, seed ^ 1, seed ^ 2, seed ^ 3],
             injected_at: 17,
-            path: vec![NodeId(3), NodeId(4), NodeId(5)],
             inject_attempts: 2,
             reroutes: 1,
             under_fault: true,
@@ -1275,7 +1239,6 @@ mod tests {
                 delivered_at: SimTime(60),
                 hops: 6,
             }],
-            paths: vec![vec![NodeId(0), NodeId(1)]],
             drops: vec![
                 (PacketId(5), DropReason::BufferOverflow),
                 (PacketId(6), DropReason::DeadlockVictim),
@@ -1363,28 +1326,42 @@ mod tests {
 
     #[test]
     fn format_4_bytes_are_pinned() {
-        // FNV-1a of the sample's encoding as written when recorded
-        // paths were still a field of `Delivered`: moving them to a
-        // side log must not move a byte of the format.
+        // FNV-1a of the path-less sample's encoding, as written when
+        // the simulator could still record paths: dropping that option
+        // must not move a byte of the format.
         let bytes = encode_snapshot(&sample_snapshot());
-        assert_eq!(bytes.len(), 1523);
-        assert_eq!(crate::fnv64(&bytes), 0xb39e_9622_12a4_dc4d);
+        assert_eq!(bytes.len(), 1487);
+        assert_eq!(crate::fnv64(&bytes), 0xb4ec_ce5a_0249_18df);
     }
 
     #[test]
-    fn paths_for_some_deliveries_only_are_rejected() {
-        let mut snap = sample_snapshot();
-        snap.delivered.push(snap.delivered[0].clone());
+    fn recorded_paths_are_refused() {
+        // The sample as encoded when it still carried paths: `[3, 4,
+        // 5]` in each of its two flights and `[0, 1]` in its delivery.
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/paths_v4.bin");
+        assert_eq!(fixture.len(), 1523);
+        assert_eq!(crate::fnv64(fixture), 0xb39e_9622_12a4_dc4d);
+        // Flights come first in the format.
         assert_eq!(
-            decode_snapshot(&encode_snapshot(&snap)).expect_err("one path for two deliveries"),
-            DecodeError::PartialPaths {
-                paths: 1,
-                delivered: 2
-            }
+            decode_snapshot(fixture).expect_err("a flight path must be refused"),
+            DecodeError::RecordedPath { record: "flight" }
         );
-        snap.paths.clear();
-        let back = decode_snapshot(&encode_snapshot(&snap)).expect("no paths at all decodes");
-        assert!(back.paths.is_empty());
+        // Emptied flight paths (length 3 and three nodes, now length
+        // 0) leave the delivery's path tag to refuse.
+        let flight_path: Vec<u8> = [3u32, 3, 4, 5].iter().flat_map(|v| v.to_le_bytes()).collect();
+        let mut bytes = fixture.to_vec();
+        for _ in 0..2 {
+            let at = bytes
+                .windows(flight_path.len())
+                .position(|w| w == flight_path)
+                .expect("flight path present");
+            bytes.splice(at..at + flight_path.len(), [0; 4]);
+        }
+        assert!(!bytes.windows(flight_path.len()).any(|w| w == flight_path));
+        assert_eq!(
+            decode_snapshot(&bytes).expect_err("a delivery path must be refused"),
+            DecodeError::RecordedPath { record: "delivery" }
+        );
     }
 
     #[test]

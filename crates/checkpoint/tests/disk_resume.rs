@@ -12,6 +12,7 @@ use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{
     InvariantConfig, NoMarking, RetryPolicy, SimConfig, SimTime, Simulation, WatchdogConfig,
 };
+use ddpm_telemetry::{MemorySink, TelemetryConfig};
 use ddpm_topology::{ChurnConfig, FaultSchedule, FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -25,7 +26,6 @@ fn stress_cfg() -> SimConfig {
         buffer_packets: 3,
         bit_error_rate: 0.01,
         max_hops: 48,
-        record_paths: true,
         retry: RetryPolicy::capped(3, 4, 64),
         watchdog: Some(WatchdogConfig {
             check_period: 64,
@@ -35,6 +35,14 @@ fn stress_cfg() -> SimConfig {
         }),
         invariants: InvariantConfig::recording(),
         ..SimConfig::seeded(0xC0FFEE)
+    }
+}
+
+/// The stress config with its packets' telemetry trail kept in `sink`.
+fn traced(sink: &MemorySink) -> SimConfig {
+    SimConfig {
+        telemetry: TelemetryConfig::events_to(ddpm_telemetry::shared(sink.clone())),
+        ..stress_cfg()
     }
 }
 
@@ -53,7 +61,7 @@ fn churn(topo: &Topology) -> FaultSchedule {
     )
 }
 
-fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
+fn build<'a>(topo: &'a Topology, marker: &'a NoMarking, cfg: SimConfig) -> Simulation<'a> {
     let map = AddrMap::for_topology(topo);
     let mut sim = Simulation::new(
         topo,
@@ -61,7 +69,7 @@ fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
         Router::fully_adaptive_for(topo),
         SelectionPolicy::Random,
         marker,
-        stress_cfg(),
+        cfg,
     );
     sim.schedule_faults(&churn(topo));
     for k in 0..PACKETS {
@@ -87,8 +95,8 @@ fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
 
 fn fingerprint_run(sim: &Simulation<'_>) -> String {
     let mut out = String::new();
-    for (i, d) in sim.delivered().iter().enumerate() {
-        out.push_str(&format!("D {:?} {:?}\n", d, sim.path(i)));
+    for d in sim.delivered() {
+        out.push_str(&format!("D {:?}\n", d));
     }
     for (id, r) in sim.drops() {
         out.push_str(&format!("X {:?} {:?}\n", id, r));
@@ -109,12 +117,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Each run leaves its telemetry trail in a sink: a delivered packet's
+/// route, the first segment's trail followed by the resumed segment's,
+/// must be the uninterrupted run's.
 #[test]
 fn resume_through_disk_is_bit_identical() {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
+    let whole = MemorySink::new();
     let expected = {
-        let mut sim = build(&topo, &marker);
+        let mut sim = build(&topo, &marker, traced(&whole));
         sim.run();
         fingerprint_run(&sim)
     };
@@ -122,10 +134,13 @@ fn resume_through_disk_is_bit_identical() {
     let dir = tmpdir("resume");
     let fp = ddpm_checkpoint::fingerprint("disk_resume stress scenario");
     for pause in [1, 137, 555] {
-        let mut first = build(&topo, &marker);
+        let before = MemorySink::new();
+        let mut first = build(&topo, &marker, traced(&before));
         let done = first.run_until(pause);
         ddpm_checkpoint::store(&dir, fp, "scenario-json-here", &first.snapshot(), 2)
             .expect("store");
+        // A paused run still stages part of its trail.
+        first.telemetry_mut().expect("traced").finish();
         drop(first);
 
         let scan = ddpm_checkpoint::latest(&dir, Some(fp)).expect("scan");
@@ -134,13 +149,14 @@ fn resume_through_disk_is_bit_identical() {
         assert_eq!(ckpt.scenario, "scenario-json-here");
         assert_eq!(ckpt.cycle, ckpt.snapshot.now);
 
+        let after = MemorySink::new();
         let mut second = Simulation::new(
             &topo,
             &FaultSet::none(),
             Router::fully_adaptive_for(&topo),
             SelectionPolicy::Random,
             &marker,
-            stress_cfg(),
+            traced(&after),
         );
         second.restore(ckpt.snapshot);
         if !done {
@@ -151,6 +167,14 @@ fn resume_through_disk_is_bit_identical() {
             expected,
             "disk resume from pause {pause} diverged"
         );
+        for d in second.delivered() {
+            let id = d.packet.id.0;
+            assert_eq!(
+                [before.path(id), after.path(id)].concat(),
+                whole.path(id),
+                "packet {id} took another route after resuming from pause {pause}"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -159,7 +183,7 @@ fn resume_through_disk_is_bit_identical() {
 fn encode_of_real_snapshot_is_lossless_and_deterministic() {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut sim = build(&topo, &marker);
+    let mut sim = build(&topo, &marker, stress_cfg());
     sim.run_until(400);
     let snap = sim.snapshot();
     let bytes = ddpm_checkpoint::encode_snapshot(&snap);

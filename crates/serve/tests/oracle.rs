@@ -262,25 +262,19 @@ fn attack_workload(spec: &AttackSpec, gen: &mut Gen) -> Workload {
     }
 }
 
-/// The D/X/S lines of a finished run; `path(i)` is the `i`-th
-/// delivery's recorded path.
-fn lines<'a>(
+/// The D/X/S lines of a finished run, as `ScenarioWorld::outcome`
+/// formats them (a `D` line ends in the literal ` None`).
+fn lines(
     delivered: &[Delivered],
-    path: impl Fn(usize) -> Option<&'a [NodeId]>,
     drops: &[(ddpm_net::PacketId, DropReason)],
     stats: &SimStats,
 ) -> Vec<String> {
     let mut out: Vec<String> = delivered
         .iter()
-        .enumerate()
-        .map(|(i, d)| {
+        .map(|d| {
             format!(
-                "D {:?} {:?} {:?} {} {:?}",
-                d.packet,
-                d.injected_at,
-                d.delivered_at,
-                d.hops,
-                path(i)
+                "D {:?} {:?} {:?} {} None",
+                d.packet, d.injected_at, d.delivered_at, d.hops
             )
         })
         .collect();
@@ -517,8 +511,8 @@ fn check(draw: &[u64; 8], pauses: &[(u64, u64)]) -> Result<(), TestCaseError> {
     model.finish();
 
     let sim = world.sim();
-    let got = lines(sim.delivered(), |i| sim.path(i), sim.drops(), sim.stats());
-    let want = lines(&model.delivered, |_| None, &model.drops, &model.stats);
+    let got = lines(sim.delivered(), sim.drops(), sim.stats());
+    let want = lines(&model.delivered, &model.drops, &model.stats);
     prop_assert_eq!(
         got.len(),
         want.len(),

@@ -116,9 +116,6 @@ pub struct SimConfig {
     pub buffer_packets: u32,
     /// Hard per-packet hop limit (livelock guard, in addition to TTL).
     pub max_hops: u32,
-    /// Record the full node path of every delivered packet. Costs memory;
-    /// used by path-reconstruction experiments and debugging.
-    pub record_paths: bool,
     /// Per-traversal probability that a link flips one random bit of the
     /// 20-byte IP header. The receiving switch verifies the Internet
     /// checksum and discards damaged packets (every single-bit error is
@@ -142,8 +139,8 @@ pub struct SimConfig {
     /// escape-route recovery). `None` (default) disables it.
     pub watchdog: Option<WatchdogConfig>,
     /// Runtime invariant checking (conservation, mark-in-transit,
-    /// fault coherence, path consistency). On by default in debug
-    /// builds, opt-in for release.
+    /// fault coherence). On by default in debug builds, opt-in for
+    /// release.
     pub invariants: InvariantConfig,
     /// RNG seed. Identical configs + identical injections ⇒ identical
     /// runs.
@@ -164,7 +161,6 @@ impl Default for SimConfig {
             service_cycles: 4,
             buffer_packets: 16,
             max_hops: 256,
-            record_paths: false,
             bit_error_rate: 0.0,
             retry: RetryPolicy::OFF,
             telemetry: TelemetryConfig::default(),
@@ -201,7 +197,6 @@ mod tests {
         let def = SimConfig::seeded(7);
         assert_eq!(def.seed, 7);
         assert_eq!(def.link_latency, SimConfig::default().link_latency);
-        assert!(!def.record_paths);
         assert_eq!(def.retry, RetryPolicy::OFF);
         assert!(!def.telemetry.enabled());
         assert_eq!(def.watchdog, None, "watchdog is opt-in");

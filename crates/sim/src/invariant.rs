@@ -8,9 +8,7 @@
 //!   (only switches rewrite it; link bit errors are checksummed and
 //!   dropped);
 //! * **fault_coherence** — routing never commits a packet to a faulty
-//!   link or a dead switch;
-//! * **path_consistency** — a delivered packet's recorded path length
-//!   equals its hop count plus one.
+//!   link or a dead switch.
 //!
 //! The [`InvariantChecker`] verifies these as the run executes. It is
 //! on by default in debug builds (so every test runs checked) and

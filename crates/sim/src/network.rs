@@ -84,9 +84,9 @@ impl DropReason {
 ///
 /// A long run keeps one record per delivery (the victim's view), so
 /// the record's size is most of such a run's memory: 824 106 records
-/// on perfbench's `adaptive-auth` workload. Recorded paths, which only
-/// tests and examples ask for, live beside the log
-/// ([`Simulation::path`]), not in it.
+/// on perfbench's `adaptive-auth` workload. The path a packet took is
+/// not recorded: a caller that wants it rebuilds it from the telemetry
+/// trail (each `Forward` event names its `next` switch).
 #[derive(Clone, Debug)]
 pub struct Delivered {
     /// The packet as received — its header carries the final marking
@@ -122,7 +122,6 @@ struct InFlight {
     /// and lets segmented and resumed runs reproduce it bit-for-bit.
     rng: SmallRng,
     injected_at: SimTime,
-    path: Vec<NodeId>,
     /// Injection attempts made against a downed source switch.
     inject_attempts: u32,
     /// Reroute retries consumed while stranded (cumulative per packet).
@@ -154,15 +153,18 @@ struct InFlight {
 }
 
 /// A packet's cold payload: the structured fields (header, routing
-/// state, RNG, recorded path) an event touches at most a handful of
-/// times. Boxed behind one pointer per slot so the dead majority of a
-/// long flood costs only the hot scalars below.
+/// state, RNG) an event touches at most a handful of times. Boxed
+/// behind one pointer per slot so the dead majority of a long flood
+/// costs only the hot scalars below.
 struct PktCold {
     packet: Packet,
     state: RouteState,
     rng: SmallRng,
-    path: Vec<NodeId>,
 }
+
+// Every packet in flight holds one boxed cold record; a larger record
+// costs a flood's peak memory in proportion.
+const _: () = assert!(std::mem::size_of::<PktCold>() == 96);
 
 /// [`Pkts::flags`] bits.
 const F_UNDER_FAULT: u8 = 1;
@@ -254,8 +256,7 @@ impl Pkts {
     }
 
     /// Approximate heap footprint of the arena in bytes: the dense hot
-    /// arrays and one boxed cold record per occupied slot (recorded
-    /// path buffers excluded — empty unless `record_paths`).
+    /// arrays and one boxed cold record per occupied slot.
     fn bytes(&self) -> u64 {
         use std::mem::size_of;
         let per_slot = (size_of::<u64>()
@@ -304,7 +305,6 @@ impl Pkts {
             packet: flight.packet,
             state: flight.state,
             rng: flight.rng,
-            path: flight.path,
         }));
         self.resident += 1;
         self.peak_resident = self.peak_resident.max(self.resident);
@@ -325,7 +325,6 @@ impl Pkts {
             state: c.state,
             rng: c.rng,
             injected_at: self.injected_at[i],
-            path: c.path,
             inject_attempts: self.inject_attempts[i],
             reroutes: self.reroutes[i],
             under_fault: self.flags[i] & F_UNDER_FAULT != 0,
@@ -394,7 +393,6 @@ fn flight_snap(f: &InFlight) -> FlightSnap {
         state: f.state,
         rng: f.rng.state(),
         injected_at: f.injected_at.cycles(),
-        path: f.path.clone(),
         inject_attempts: f.inject_attempts,
         reroutes: f.reroutes,
         under_fault: f.under_fault,
@@ -463,9 +461,6 @@ pub struct Simulation<'a> {
     now: SimTime,
     stats: SimStats,
     delivered: Vec<Delivered>,
-    /// Node path of each delivery, parallel to `delivered`; empty
-    /// unless [`SimConfig::record_paths`] is set.
-    paths: Vec<Vec<NodeId>>,
     drops: Vec<(ddpm_net::PacketId, DropReason)>,
     /// When the current degraded period started, if one is open.
     degraded_since: Option<u64>,
@@ -604,7 +599,6 @@ impl<'a> Simulation<'a> {
             now: SimTime::ZERO,
             stats: SimStats::default(),
             delivered: Vec::new(),
-            paths: Vec::new(),
             drops: Vec::new(),
             degraded_since,
             pending_recovery: None,
@@ -701,7 +695,6 @@ impl<'a> Simulation<'a> {
                 self.cfg.seed ^ (handle + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ),
             injected_at: time,
-            path: Vec::new(),
             inject_attempts: 0,
             reroutes: 0,
             under_fault: false,
@@ -901,13 +894,6 @@ impl<'a> Simulation<'a> {
         &self.delivered
     }
 
-    /// Full node path of the `i`-th delivery, present when
-    /// [`SimConfig::record_paths`] is set.
-    #[must_use]
-    pub fn path(&self, i: usize) -> Option<&[NodeId]> {
-        self.paths.get(i).map(Vec::as_slice)
-    }
-
     /// Drop log: `(packet id, reason)` in drop order.
     #[must_use]
     pub fn drops(&self) -> &[(ddpm_net::PacketId, DropReason)] {
@@ -979,7 +965,6 @@ impl<'a> Simulation<'a> {
                         state: c.state,
                         rng: c.rng.state(),
                         injected_at: self.pkts.injected_at[i].cycles(),
-                        path: c.path.clone(),
                         inject_attempts: self.pkts.inject_attempts[i],
                         reroutes: self.pkts.reroutes[i],
                         under_fault: self.pkts.flag(i, F_UNDER_FAULT),
@@ -1010,7 +995,6 @@ impl<'a> Simulation<'a> {
             ports: self.ports.clone(),
             stats: self.stats,
             delivered: self.delivered.clone(),
-            paths: self.paths.clone(),
             drops: self.drops.clone(),
             failed_links,
             failed_switches,
@@ -1049,10 +1033,8 @@ impl<'a> Simulation<'a> {
     ///
     /// # Panics
     /// If this simulation already scheduled packets or processed
-    /// events, if the snapshot's port table does not match the
-    /// topology (the snapshot was taken in a different world), or if it
-    /// does not carry one recorded path per delivery exactly when
-    /// [`SimConfig::record_paths`] is set.
+    /// events, or if the snapshot's port table does not match the
+    /// topology (the snapshot was taken in a different world).
     pub fn restore(&mut self, snap: SimSnapshot) {
         assert!(
             self.pkts.len() == 0
@@ -1066,16 +1048,6 @@ impl<'a> Simulation<'a> {
             snap.ports.len(),
             self.ports.len(),
             "snapshot was taken on a different topology"
-        );
-        let want_paths = if self.cfg.record_paths {
-            snap.delivered.len()
-        } else {
-            0
-        };
-        assert_eq!(
-            snap.paths.len(),
-            want_paths,
-            "snapshot's recorded paths do not match record_paths"
         );
         let mut slot_of: HashMap<u64, u32> = HashMap::with_capacity(snap.slots.len());
         let mut waiting: HashSet<u64> = HashSet::new();
@@ -1091,7 +1063,6 @@ impl<'a> Simulation<'a> {
                 state: f.state,
                 rng: SmallRng::from_state(f.rng),
                 injected_at: SimTime(f.injected_at),
-                path: f.path,
                 inject_attempts: f.inject_attempts,
                 reroutes: f.reroutes,
                 under_fault: f.under_fault,
@@ -1137,7 +1108,6 @@ impl<'a> Simulation<'a> {
         self.now = SimTime(snap.now);
         self.stats = snap.stats;
         self.delivered = snap.delivered;
-        self.paths = snap.paths;
         self.drops = snap.drops;
         self.live = FaultSet::from_parts(snap.failed_links, snap.failed_switches);
         self.degraded_since = snap.degraded_since;
@@ -1444,9 +1414,6 @@ impl<'a> Simulation<'a> {
         if self.obs {
             self.emit(pkt, src_id.0, TelEvent::Inject);
         }
-        if self.cfg.record_paths {
-            self.pkts.cold_mut(pkt).path.push(src_id);
-        }
         // The source switch resets the marking field (§5) — forged MF
         // values die here.
         let env = MarkEnv { topo: self.topo };
@@ -1514,9 +1481,6 @@ impl<'a> Simulation<'a> {
         }
         let node_id = NodeId(node);
         let cur = self.coord_of(node);
-        if self.cfg.record_paths {
-            self.pkts.cold_mut(pkt).path.push(node_id);
-        }
         if node_id == self.pkts.packet(pkt).dest_node {
             // The destination switch runs marking logic one final time
             // before delivery (needed by PPM's edge completion).
@@ -1553,22 +1517,7 @@ impl<'a> Simulation<'a> {
             self.live_count -= 1;
             self.delivered_total += 1;
             self.last_progress = self.now.cycles();
-            if self.checking && self.cfg.record_paths {
-                let want = flight.state.hops as usize + 1;
-                let got = flight.path.len();
-                if got != want {
-                    self.report_violation(
-                        flight.packet.id.0,
-                        node,
-                        "path_consistency",
-                        format!("recorded path has {got} nodes, expected hops+1 = {want}"),
-                    );
-                }
-            }
             let pkt_id = flight.packet.id.0;
-            if self.cfg.record_paths {
-                self.paths.push(flight.path);
-            }
             self.delivered.push(Delivered {
                 packet: flight.packet,
                 injected_at: flight.injected_at,
@@ -1943,6 +1892,15 @@ mod tests {
     use crate::config::RetryPolicy;
     use crate::mark::NoMarking;
     use ddpm_net::{AddrMap, Ipv4Header, PacketId, Protocol, L4};
+    use ddpm_telemetry::{MemorySink, TelemetryConfig};
+
+    /// `cfg` with its packets' telemetry trail kept in `sink`.
+    fn traced(sink: &MemorySink, cfg: SimConfig) -> SimConfig {
+        SimConfig {
+            telemetry: TelemetryConfig::events_to(ddpm_telemetry::shared(sink.clone())),
+            ..cfg
+        }
+    }
 
     fn mk_packet(map: &AddrMap, id: u64, src: NodeId, dst: NodeId, class: TrafficClass) -> Packet {
         Packet {
@@ -1989,30 +1947,27 @@ mod tests {
     }
 
     #[test]
-    fn paths_recorded_when_enabled() {
+    fn telemetry_trail_gives_the_path() {
         let topo = Topology::mesh2d(4);
         let faults = FaultSet::none();
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
+        let sink = MemorySink::new();
         let mut sim = Simulation::new(
             &topo,
             &faults,
             Router::DimensionOrder,
             SelectionPolicy::First,
             &marker,
-            SimConfig {
-                record_paths: true,
-                ..SimConfig::default()
-            },
+            traced(&sink, SimConfig::default()),
         );
         sim.schedule(
             SimTime::ZERO,
             mk_packet(&map, 1, NodeId(0), NodeId(5), TrafficClass::Benign),
         );
         sim.run();
-        let path = sim.path(0).unwrap();
         // (0,0) -> (1,0) -> (1,1): dimension order.
-        assert_eq!(path, &[NodeId(0), NodeId(4), NodeId(5)]);
+        assert_eq!(sink.path(1), [0, 4, 5]);
     }
 
     #[test]
@@ -2135,16 +2090,14 @@ mod tests {
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
         let run = |seed: u64| {
+            let sink = MemorySink::new();
             let mut sim = Simulation::new(
                 &topo,
                 &faults,
                 Router::fully_adaptive_for(&topo),
                 SelectionPolicy::Random,
                 &marker,
-                SimConfig {
-                    record_paths: true,
-                    ..SimConfig::seeded(seed)
-                },
+                traced(&sink, SimConfig::seeded(seed)),
             );
             for id in 0..50u64 {
                 let s = NodeId((id % 36) as u32);
@@ -2159,8 +2112,7 @@ mod tests {
             sim.run();
             sim.delivered()
                 .iter()
-                .enumerate()
-                .map(|(i, d)| (d.packet.id, d.delivered_at, sim.path(i).map(<[_]>::to_vec)))
+                .map(|d| (d.packet.id, d.delivered_at, sink.path(d.packet.id.0)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(123), run(123), "same seed must reproduce exactly");
@@ -2211,16 +2163,14 @@ mod tests {
         let faults = FaultSet::none();
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
+        let sink = MemorySink::new();
         let mut sim = Simulation::new(
             &topo,
             &faults,
             Router::MinimalAdaptive,
             SelectionPolicy::Random,
             &marker,
-            SimConfig {
-                record_paths: true,
-                ..SimConfig::seeded(5)
-            },
+            traced(&sink, SimConfig::seeded(5)),
         );
         for id in 0..40u64 {
             sim.schedule(
@@ -2229,8 +2179,10 @@ mod tests {
             );
         }
         sim.run();
-        let distinct: std::collections::HashSet<_> = (0..sim.delivered().len())
-            .map(|i| sim.path(i).unwrap())
+        let distinct: std::collections::HashSet<_> = sim
+            .delivered()
+            .iter()
+            .map(|d| sink.path(d.packet.id.0))
             .collect();
         assert!(distinct.len() > 5, "expected many distinct paths");
     }
@@ -2480,16 +2432,14 @@ mod tests {
         let faults = FaultSet::none();
         let map = AddrMap::for_topology(&topo);
         let marker = NoMarking;
+        let sink = MemorySink::new();
         let mut sim = Simulation::new(
             &topo,
             &faults,
             Router::MinimalAdaptive,
             SelectionPolicy::First,
             &marker,
-            SimConfig {
-                record_paths: true,
-                ..SimConfig::default()
-            },
+            traced(&sink, SimConfig::default()),
         );
         // Kill the (0,0)–(1,0) link before the packet leaves; minimal
         // adaptive still has the (0,0)–(0,1) productive hop.
@@ -2506,12 +2456,7 @@ mod tests {
         );
         let stats = sim.run();
         assert_eq!(stats.benign.delivered, 1);
-        let path = sim.path(0).unwrap();
-        assert_eq!(
-            path,
-            &[NodeId(0), NodeId(1), NodeId(5)],
-            "detoured via (0,1)"
-        );
+        assert_eq!(sink.path(1), [0, 1, 5], "detoured via (0,1)");
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct FlightSnap {
     pub rng: [u64; 4],
     /// Cycle the packet was injected.
     pub injected_at: u64,
-    /// Recorded node path (empty unless `record_paths`).
-    pub path: Vec<NodeId>,
     /// Source-side injection attempts so far.
     pub inject_attempts: u32,
     /// Reroute retries so far at the current stranding.
@@ -100,9 +98,6 @@ pub struct SimSnapshot {
     pub stats: SimStats,
     /// Delivered-packet log (feeds the scenario digest).
     pub delivered: Vec<Delivered>,
-    /// Node path of each delivery, parallel to `delivered`; empty
-    /// unless `record_paths`.
-    pub paths: Vec<Vec<NodeId>>,
     /// Drop log (feeds the scenario digest).
     pub drops: Vec<(PacketId, DropReason)>,
     /// Failed links of the live fault set (normalised, sorted).

@@ -8,6 +8,7 @@
 use ddpm_net::{AddrMap, Ipv4Header, Packet, PacketId, Protocol, TrafficClass, L4};
 use ddpm_routing::{Router, SelectionPolicy};
 use ddpm_sim::{NoMarking, SimConfig, SimTime, Simulation};
+use ddpm_telemetry::{MemorySink, TelemetryConfig};
 use ddpm_topology::{FaultSet, NodeId, Topology};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -129,7 +130,10 @@ proptest! {
 
     /// Bitwise reproducibility: identical configs and schedules produce
     /// identical delivery transcripts, and the transcript changes with
-    /// the seed only through the simulator's declared randomness.
+    /// the seed only through the simulator's declared randomness. Each
+    /// delivery's path, rebuilt from the telemetry trail, is a walk of
+    /// `hops + 1` switches over topology links from the packet's source
+    /// to its destination.
     #[test]
     fn runs_are_reproducible(seed in any::<u64>(), burst in 5u64..60) {
         let topo = Topology::torus(&[5, 5]);
@@ -137,11 +141,12 @@ proptest! {
         let faults = FaultSet::none();
         let marker = NoMarking;
         let transcript = |s: u64| {
+            let sink = MemorySink::new();
             let mut sim = Simulation::new(
                 &topo, &faults, Router::MinimalAdaptive, SelectionPolicy::Random,
                 &marker,
                 SimConfig {
-                    record_paths: true,
+                    telemetry: TelemetryConfig::events_to(ddpm_telemetry::shared(sink.clone())),
                     ..SimConfig::seeded(s)
                 },
             );
@@ -154,10 +159,19 @@ proptest! {
             sim.run();
             sim.delivered()
                 .iter()
-                .enumerate()
-                .map(|(i, d)| (d.packet.id, d.delivered_at, d.hops, sim.path(i).map(<[_]>::to_vec)))
+                .map(|d| (d.packet, d.delivered_at, d.hops, sink.path(d.packet.id.0)))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(transcript(seed), transcript(seed));
+        let run = transcript(seed);
+        for (packet, _, hops, path) in &run {
+            prop_assert_eq!(path.len(), *hops as usize + 1, "{:?}", path);
+            prop_assert_eq!(path[0], packet.true_source.0);
+            prop_assert_eq!(path[path.len() - 1], packet.dest_node.0);
+            for step in path.windows(2) {
+                let (a, b) = (topo.coord(NodeId(step[0])), topo.coord(NodeId(step[1])));
+                prop_assert!(topo.hop_direction(&a, &b).is_some(), "{:?} is not a link", step);
+            }
+        }
+        prop_assert_eq!(run, transcript(seed));
     }
 }

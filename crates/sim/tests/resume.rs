@@ -17,6 +17,7 @@ use ddpm_sim::{
     FlightSnap, InvariantConfig, NoMarking, RetryPolicy, SimConfig, SimSnapshot, SimTime,
     Simulation, SlotSnap, WatchdogConfig,
 };
+use ddpm_telemetry::{MemorySink, TelemetryConfig};
 use ddpm_topology::{ChurnConfig, FaultSchedule, FaultSet, NodeId, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,7 +30,6 @@ fn stress_cfg() -> SimConfig {
         buffer_packets: 3,
         bit_error_rate: 0.01,
         max_hops: 48,
-        record_paths: true,
         retry: RetryPolicy::capped(3, 4, 64),
         watchdog: Some(WatchdogConfig {
             check_period: 64,
@@ -39,6 +39,14 @@ fn stress_cfg() -> SimConfig {
         }),
         invariants: InvariantConfig::recording(),
         ..SimConfig::seeded(0xC0FFEE)
+    }
+}
+
+/// The stress config with its packets' telemetry trail kept in `sink`.
+fn traced(sink: &MemorySink) -> SimConfig {
+    SimConfig {
+        telemetry: TelemetryConfig::events_to(ddpm_telemetry::shared(sink.clone())),
+        ..stress_cfg()
     }
 }
 
@@ -80,16 +88,10 @@ fn traffic(topo: &Topology) -> Vec<(SimTime, Packet)> {
         .collect()
 }
 
-/// Builds the stress scenario and schedules its traffic + faults.
-fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
-    let mut sim = Simulation::new(
-        topo,
-        &FaultSet::none(),
-        Router::fully_adaptive_for(topo),
-        SelectionPolicy::Random,
-        marker,
-        stress_cfg(),
-    );
+/// Builds the stress scenario under `cfg` and schedules its traffic +
+/// faults.
+fn build<'a>(topo: &'a Topology, marker: &'a NoMarking, cfg: SimConfig) -> Simulation<'a> {
+    let mut sim = fresh(topo, marker, cfg);
     sim.schedule_faults(&churn(topo));
     for (t, p) in traffic(topo) {
         sim.schedule(t, p);
@@ -97,16 +99,16 @@ fn build<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
     sim
 }
 
-/// A fresh world for `restore`: the stress scenario's static half, no
-/// traffic or faults scheduled.
-fn fresh<'a>(topo: &'a Topology, marker: &'a NoMarking) -> Simulation<'a> {
+/// A fresh world for `restore`: the stress scenario's static half
+/// under `cfg`, no traffic or faults scheduled.
+fn fresh<'a>(topo: &'a Topology, marker: &'a NoMarking, cfg: SimConfig) -> Simulation<'a> {
     Simulation::new(
         topo,
         &FaultSet::none(),
         Router::fully_adaptive_for(topo),
         SelectionPolicy::Random,
         marker,
-        stress_cfg(),
+        cfg,
     )
 }
 
@@ -123,7 +125,6 @@ fn scheduled_record(topo: &Topology, handle: usize, time: SimTime, packet: Packe
         state: RouteState::with_budget(Router::fully_adaptive_for(topo).misroute_budget()),
         rng: SmallRng::seed_from_u64(seed).state(),
         injected_at: time.cycles(),
-        path: Vec::new(),
         inject_attempts: 0,
         reroutes: 0,
         under_fault: false,
@@ -139,8 +140,8 @@ fn scheduled_record(topo: &Topology, handle: usize, time: SimTime, packet: Packe
 /// Everything observable about a finished run, as one comparable string.
 fn fingerprint(sim: &Simulation<'_>) -> String {
     let mut out = String::new();
-    for (i, d) in sim.delivered().iter().enumerate() {
-        out.push_str(&format!("D {:?} {:?}\n", d, sim.path(i)));
+    for d in sim.delivered() {
+        out.push_str(&format!("D {:?}\n", d));
     }
     for (id, r) in sim.drops() {
         out.push_str(&format!("X {:?} {:?}\n", id, r));
@@ -155,7 +156,7 @@ fn fingerprint(sim: &Simulation<'_>) -> String {
 fn reference() -> String {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut sim = build(&topo, &marker);
+    let mut sim = build(&topo, &marker, stress_cfg());
     sim.run();
     fingerprint(&sim)
 }
@@ -165,7 +166,7 @@ fn segmented_run_matches_uninterrupted_run() {
     let expected = reference();
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut sim = build(&topo, &marker);
+    let mut sim = build(&topo, &marker, stress_cfg());
     let mut limit = 37; // deliberately not aligned to anything
     while !sim.run_until(limit) {
         limit += 113;
@@ -173,16 +174,26 @@ fn segmented_run_matches_uninterrupted_run() {
     assert_eq!(fingerprint(&sim), expected, "segmentation changed the run");
 }
 
+/// Every run here leaves its telemetry trail in a sink, so besides the
+/// fingerprint each delivered packet's route is compared: the first
+/// segment's trail followed by the resumed segment's must be the
+/// uninterrupted run's.
 #[test]
 fn snapshot_restore_is_bit_identical_at_many_pause_points() {
-    let expected = reference();
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
+    let whole = MemorySink::new();
+    let expected = {
+        let mut sim = build(&topo, &marker, traced(&whole));
+        sim.run();
+        fingerprint(&sim)
+    };
     // 64..384 land on watchdog-sweep cycles (every 64) that are also
     // injection cycles (every even cycle): the resumed segment opens
     // with a sweep or an injection at the boundary itself.
     for pause in [0, 1, 50, 64, 128, 137, 192, 256, 300, 384, 555, 1000, 2500] {
-        let mut first = build(&topo, &marker);
+        let before = MemorySink::new();
+        let mut first = build(&topo, &marker, traced(&before));
         let done = first.run_until(pause);
         let snap = first.snapshot();
         assert_eq!(
@@ -190,17 +201,13 @@ fn snapshot_restore_is_bit_identical_at_many_pause_points() {
             snap.live_count,
             "snapshot live bookkeeping diverged at pause {pause}"
         );
+        // A paused run still stages part of its trail.
+        first.telemetry_mut().expect("traced").finish();
         drop(first);
         // A fresh world: same static config, no traffic scheduled — the
         // snapshot carries every pending event.
-        let mut second = Simulation::new(
-            &topo,
-            &FaultSet::none(),
-            Router::fully_adaptive_for(&topo),
-            SelectionPolicy::Random,
-            &marker,
-            stress_cfg(),
-        );
+        let after = MemorySink::new();
+        let mut second = fresh(&topo, &marker, traced(&after));
         second.restore(snap);
         if !done {
             second.run();
@@ -210,6 +217,14 @@ fn snapshot_restore_is_bit_identical_at_many_pause_points() {
             expected,
             "resume from pause {pause} diverged"
         );
+        for d in second.delivered() {
+            let id = d.packet.id.0;
+            assert_eq!(
+                [before.path(id), after.path(id)].concat(),
+                whole.path(id),
+                "packet {id} took another route after resuming from pause {pause}"
+            );
+        }
     }
 }
 
@@ -217,17 +232,10 @@ fn snapshot_restore_is_bit_identical_at_many_pause_points() {
 fn snapshot_roundtrips_through_restore() {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut first = build(&topo, &marker);
+    let mut first = build(&topo, &marker, stress_cfg());
     first.run_until(400);
     let snap = first.snapshot();
-    let mut second = Simulation::new(
-        &topo,
-        &FaultSet::none(),
-        Router::fully_adaptive_for(&topo),
-        SelectionPolicy::Random,
-        &marker,
-        stress_cfg(),
-    );
+    let mut second = fresh(&topo, &marker, stress_cfg());
     second.restore(snap.clone());
     let again = second.snapshot();
     assert_eq!(
@@ -244,7 +252,7 @@ fn snapshot_roundtrips_through_restore() {
 fn stale_event_for_a_departed_handle_is_a_typed_violation() {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut first = build(&topo, &marker);
+    let mut first = build(&topo, &marker, stress_cfg());
     first.run_until(400);
     let mut snap = first.snapshot();
     // Forge the failure the guard exists for: a queued arrival of the
@@ -263,7 +271,7 @@ fn stale_event_for_a_departed_handle_is_a_typed_violation() {
     };
     snap.queue_seq += 1;
     snap.events.push(forged);
-    let mut second = fresh(&topo, &marker);
+    let mut second = fresh(&topo, &marker, stress_cfg());
     second.restore(snap);
     second.run(); // must not panic
     let stale: Vec<_> = second
@@ -288,7 +296,7 @@ fn waiting_packets_snapshot_as_scheduled_not_as_slots() {
     // `None`: snapshot before the run starts.
     let pauses = std::iter::once(None).chain([0, 1, 50, 137, 300, last].map(Some));
     for pause in pauses {
-        let mut sim = build(&topo, &marker);
+        let mut sim = build(&topo, &marker, stress_cfg());
         let from = pause.unwrap_or(0);
         let mut want: Vec<(u64, u64, Packet)> = schedule
             .iter()
@@ -329,7 +337,7 @@ fn waiting_packets_snapshot_as_scheduled_not_as_slots() {
 fn v3_shaped(edit: impl FnOnce(&mut FlightSnap)) -> (SimSnapshot, u64) {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
-    let mut first = build(&topo, &marker);
+    let mut first = build(&topo, &marker, stress_cfg());
     first.run_until(50);
     let mut snap = first.snapshot();
     let (at, handle, packet) = snap.scheduled.remove(0);
@@ -357,7 +365,7 @@ fn fresh_flight_in_a_slot_restores_as_a_waiting_packet() {
     let topo = Topology::torus(&[6, 6]);
     let marker = NoMarking;
     let (snap, handle) = v3_shaped(|_| {});
-    let mut second = fresh(&topo, &marker);
+    let mut second = fresh(&topo, &marker, stress_cfg());
     second.restore(snap);
     let again = second.snapshot();
     assert!(again.slots.iter().all(|s| s.handle != handle));
@@ -380,7 +388,7 @@ fn edited_uninjected_flight_restores_as_a_live_record() {
     let edited = SmallRng::seed_from_u64(0xED17).state();
     let (snap, _) = v3_shaped(|f| f.rng = edited);
 
-    let mut second = fresh(&topo, &marker);
+    let mut second = fresh(&topo, &marker, stress_cfg());
     second.restore(snap.clone());
     let again = second.snapshot();
     assert_eq!(
@@ -396,10 +404,10 @@ fn edited_uninjected_flight_restores_as_a_live_record() {
     );
 
     // The edited world itself pauses and resumes bit-identically.
-    let mut third = fresh(&topo, &marker);
+    let mut third = fresh(&topo, &marker, stress_cfg());
     third.restore(snap);
     assert!(!third.run_until(300));
-    let mut fourth = fresh(&topo, &marker);
+    let mut fourth = fresh(&topo, &marker, stress_cfg());
     fourth.restore(third.snapshot());
     fourth.run();
     assert_eq!(fingerprint(&fourth), edited_run);

@@ -1,6 +1,6 @@
 //! Pluggable event sinks.
 
-use crate::event::PacketEvent;
+use crate::event::{EventKind, PacketEvent};
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -173,6 +173,23 @@ impl MemorySink {
             .copied()
             .collect()
     }
+
+    /// The switches packet `pkt` visited, rebuilt from its trail: the
+    /// `Inject` event's node, then each `Forward`'s `next`.
+    #[must_use]
+    pub fn path(&self, pkt: u64) -> Vec<u32> {
+        self.events
+            .lock()
+            .expect("sink poisoned")
+            .iter()
+            .filter(|e| e.pkt == pkt)
+            .filter_map(|e| match e.kind {
+                EventKind::Inject => Some(e.node),
+                EventKind::Forward { next } => Some(next),
+                _ => None,
+            })
+            .collect()
+    }
 }
 
 impl EventSink for MemorySink {
@@ -256,7 +273,6 @@ impl EventSink for BroadcastSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     fn ev(pkt: u64) -> PacketEvent {
         PacketEvent {

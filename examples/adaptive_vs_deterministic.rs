@@ -10,18 +10,22 @@
 //! DPM signatures and DDPM identifications side by side.
 
 use ddpm::prelude::*;
+use ddpm_telemetry::{MemorySink, TelemetryConfig};
 use std::collections::HashSet;
 
+/// Sends `packets` packets corner to corner; returns the deliveries and,
+/// for each, the switches it visited, rebuilt from the telemetry trail.
 fn run_flow(
     topo: &Topology,
     router: Router,
     policy: SelectionPolicy,
     marker: &dyn Marker,
     packets: u64,
-) -> (Vec<Delivered>, Vec<Vec<NodeId>>) {
+) -> (Vec<Delivered>, Vec<Vec<u32>>) {
     let faults = FaultSet::none();
     let map = AddrMap::for_topology(topo);
     let mut factory = PacketFactory::new(map);
+    let sink = MemorySink::new();
     let mut sim = Simulation::new(
         topo,
         &faults,
@@ -29,7 +33,7 @@ fn run_flow(
         policy,
         marker,
         SimConfig {
-            record_paths: true,
+            telemetry: TelemetryConfig::events_to(ddpm_telemetry::shared(sink.clone())),
             ..SimConfig::seeded(64)
         },
     );
@@ -39,8 +43,10 @@ fn run_flow(
         sim.schedule(SimTime(k * 8), factory.benign(src, dst, L4::udp(1, 7), 128));
     }
     sim.run();
-    let paths = (0..sim.delivered().len())
-        .map(|i| sim.path(i).expect("paths are recorded").to_vec())
+    let paths = sim
+        .delivered()
+        .iter()
+        .map(|d| sink.path(d.packet.id.0))
         .collect();
     (sim.into_delivered(), paths)
 }
